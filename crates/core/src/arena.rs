@@ -23,14 +23,13 @@ use crate::config::{HardenedConfig, KmemConfig};
 use crate::cookie::Cookie;
 use crate::error::{AllocError, CorruptionSite};
 use crate::global::GlobalPool;
-use crate::maint::{MaintKeys, MaintState, MaintWork};
 use crate::pagedesc::PdKind;
 use crate::pagelayer::PageLayer;
 use crate::percpu::{CacheStats, CpuCache, QuarantineVerdict};
 use crate::pressure::PressureLadder;
 use crate::sizeclass::SizeClasses;
 use crate::snapshot::{
-    CacheCounts, ClassSnapshot, GlobalCounts, KmemSnapshot, MaintCounts, NodeCounts, PageCounts,
+    CacheCounts, ClassSnapshot, GlobalCounts, KmemSnapshot, NodeCounts, PageCounts,
 };
 use crate::stats::KmemStats;
 use crate::vmblklayer::VmblkLayer;
@@ -128,10 +127,6 @@ pub(crate) struct ArenaInner {
     poison_hits: EventCounter,
     /// Encoded-link detections (implausible decodes, sunk chains).
     encode_faults: EventCounter,
-    /// Maintenance-core state (mailbox + key layout) when the arena was
-    /// configured with [`crate::config::MaintConfig::on`]; `None` keeps
-    /// every slow-path site on its classic inline behaviour.
-    maint: Option<MaintState>,
 }
 
 impl Drop for ArenaInner {
@@ -209,12 +204,11 @@ impl KmemArena {
         let mut globals = Vec::with_capacity(config.classes.len() * nnodes);
         for c in &config.classes {
             for _ in 0..nnodes {
-                globals.push(CachePadded::new(GlobalPool::new_hardened(
-                    c.target,
-                    c.gbltarget,
-                    faults.clone(),
-                    key,
-                )));
+                globals.push(CachePadded::new(
+                    GlobalPool::new(c.target, c.gbltarget)
+                        .with_faults(faults.clone())
+                        .with_key(key),
+                ));
             }
         }
         let globals = globals.into_boxed_slice();
@@ -265,10 +259,6 @@ impl KmemArena {
             .map(|_| AtomicUsize::new(0))
             .collect();
         let registry = CpuRegistry::new(config.ncpus);
-        let maint = config
-            .maint
-            .enabled
-            .then(|| MaintState::new(MaintKeys::new(config.classes.len(), nnodes, config.ncpus)));
         let classes = SizeClasses::new(config.classes);
         Ok(KmemArena {
             inner: Arc::new(ArenaInner {
@@ -293,7 +283,6 @@ impl KmemArena {
                 corruption_reports: EventCounter::new(),
                 poison_hits: EventCounter::new(),
                 encode_faults: EventCounter::new(),
-                maint,
             }),
         })
     }
@@ -423,9 +412,7 @@ impl KmemArena {
                     per_cpu: inner
                         .slots
                         .collect(|_, slot| CacheCounts::read(&slot.stats[idx])),
-                    global: GlobalCounts::read_merged(
-                        inner.shards(idx).iter().map(|pool| pool.stats()),
-                    ),
+                    global: GlobalCounts::read_merged(inner.shards(idx).iter().map(|pool| &**pool)),
                     page: PageCounts::read(inner.pages[idx].stats()),
                 }
             })
@@ -465,104 +452,7 @@ impl KmemArena {
             poison_hits: inner.poison_hits.get(),
             encode_faults: inner.encode_faults.get(),
             quarantine_len: inner.quarantined.load(Ordering::Relaxed),
-            maint: inner.maint_counts(),
         }
-    }
-
-    /// Whether this arena was built with the maintenance core enabled
-    /// ([`crate::config::MaintConfig::on`]).
-    pub fn maint_enabled(&self) -> bool {
-        self.inner.maint.is_some()
-    }
-
-    /// Work items currently queued in the maintenance mailbox (0 when the
-    /// core is disabled). A racy gauge: posts race the drainer.
-    pub fn maint_backlog(&self) -> usize {
-        self.inner
-            .maint
-            .as_ref()
-            .map_or(0, |m| m.mailbox.backlog() as usize)
-    }
-
-    /// Drains the maintenance mailbox once, running every queued work item
-    /// inline on the calling thread, and returns the number of items run.
-    /// Returns 0 when the core is disabled, when the mailbox is empty, or
-    /// when another thread is already draining (single-consumer).
-    ///
-    /// This is the explicit pump for hermetic tests and single-threaded
-    /// harnesses; production-shaped runs use
-    /// [`KmemArena::start_maint_thread`] instead. Any thread may pump —
-    /// the work only touches the locked global/page layers and the
-    /// per-CPU drain flags, never a CPU's caches.
-    pub fn maint_poll(&self) -> usize {
-        let inner = &*self.inner;
-        let Some(maint) = &inner.maint else {
-            return 0;
-        };
-        let keys = maint.keys;
-        maint.mailbox.try_drain(|key, _payload| {
-            let spill_from = |class: usize, node: usize, spill: Option<Chain>| {
-                if let Some(spill) = spill {
-                    inner.node_stats[node].remote_spills.add(spill.len() as u64);
-                    // SAFETY: spilled blocks are free blocks of `class`.
-                    unsafe {
-                        inner.pages[class].free_chain(&inner.vm, spill);
-                    }
-                }
-            };
-            match keys.work(key) {
-                MaintWork::Regroup { class, node } => {
-                    let pool = inner.shard(class, NodeId::new(node));
-                    spill_from(class, node, pool.maint_regroup());
-                }
-                MaintWork::Trim { class, node } => {
-                    let pool = inner.shard(class, NodeId::new(node));
-                    spill_from(class, node, pool.maint_trim());
-                }
-                MaintWork::Spill { class, node } => {
-                    let pool = inner.shard(class, NodeId::new(node));
-                    let bound = pool.gbltarget();
-                    spill_from(class, node, pool.maint_spill(bound));
-                }
-                MaintWork::DrainCpu { cpu } => {
-                    inner
-                        .slots
-                        .get(CpuId::new(cpu))
-                        .drain
-                        .store(true, Ordering::Relaxed);
-                }
-                MaintWork::Coalesce { class } => {
-                    inner.pages[class].flush_full_pages(&inner.vm);
-                }
-            }
-        })
-    }
-
-    /// Spawns the maintenance core: a thread that pumps
-    /// [`KmemArena::maint_poll`] until the returned guard is dropped
-    /// (which stops the thread, runs one final drain, and joins it).
-    /// Returns `None` when the arena was built without the core.
-    pub fn start_maint_thread(&self) -> Option<MaintPump> {
-        self.inner.maint.as_ref()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let arena = self.clone();
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("kmem-maint".into())
-            .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    if arena.maint_poll() == 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
-                    }
-                }
-                // Final sweep: nothing posted before `stop` is stranded.
-                arena.maint_poll();
-            })
-            .expect("spawn kmem-maint thread");
-        Some(MaintPump {
-            stop,
-            handle: Some(handle),
-        })
     }
 
     /// Snapshot of per-layer statistics (the paper's miss-rate inputs),
@@ -577,65 +467,7 @@ impl KmemArena {
     }
 }
 
-/// Guard for the maintenance-core thread
-/// ([`KmemArena::start_maint_thread`]): dropping it stops the thread,
-/// drains any remaining mailbox items, and joins.
-pub struct MaintPump {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MaintPump {
-    /// Stops and joins the maintenance thread (same as dropping the
-    /// guard, but explicit at call sites that want the join visible).
-    pub fn stop(self) {
-        drop(self);
-    }
-}
-
-impl Drop for MaintPump {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 impl ArenaInner {
-    /// Maintenance-core counters for snapshots: mailbox flow plus the
-    /// epoch-batched drain counters summed over every global shard.
-    pub(crate) fn maint_counts(&self) -> MaintCounts {
-        let (batch_drains, batched_chains) =
-            self.globals
-                .iter()
-                .fold((0u64, 0u64), |(drains, chains), pool| {
-                    let stats = pool.stats();
-                    (
-                        drains + stats.batch_drains.get(),
-                        chains + stats.batched_chains.get(),
-                    )
-                });
-        let (posted, deduped, drained, backlog) = match &self.maint {
-            Some(m) => (
-                m.mailbox.posted(),
-                m.mailbox.deduped(),
-                m.mailbox.drained(),
-                m.mailbox.backlog() as usize,
-            ),
-            None => (0, 0, 0, 0),
-        };
-        MaintCounts {
-            enabled: self.maint.is_some(),
-            posted,
-            deduped,
-            drained,
-            backlog,
-            batch_drains,
-            batched_chains,
-        }
-    }
-
     pub(crate) fn classes(&self) -> &SizeClasses {
         &self.classes
     }
@@ -996,16 +828,15 @@ impl CpuHandle {
     fn take_chain(&self, class: usize, target: usize) -> Option<Chain> {
         let inner = &*self.inner;
         let node_stats = &inner.node_stats[self.node.index()];
-        // The shard consults `faults::GLOBAL_GET` itself, on both its CAS
-        // fast path and its locked slow path.
+        // The shard consults `faults::GLOBAL_GET` itself.
         if let Some(chain) = inner.shard(class, self.node).get_chain() {
             node_stats.local_refills.inc();
             return Some(chain);
         }
         // Work-stealing overflow: pick the remote shard with the most
-        // blocks (a racy read — the steal itself is a single tag-CAS, so a
-        // stale choice costs at worst one extra miss, never correctness)
-        // and take one whole target-sized chain from it.
+        // blocks (a racy read — the steal re-checks under the victim's
+        // lock, so a stale choice costs at worst one extra miss, never
+        // correctness) and take one whole target-sized chain from it.
         if inner.nnodes() > 1 && !inner.faults.hit(faults::GLOBAL_STEAL) {
             let shards = inner.shards(class);
             let victim = shards
@@ -1046,42 +877,20 @@ impl CpuHandle {
                 1 => {
                     // Rung 1: flush our own caches and ask every other CPU
                     // to drain — posted once per climb, not per attempt.
-                    // With the maintenance core the requests go through the
-                    // mailbox (one dedup key per CPU), so a climb storm
-                    // across CPUs still collapses to one item per target.
                     self.flush_with_cause(FlushCause::LowMemory);
-                    if let Some(maint) = &self.inner.maint {
-                        for (cpu, _) in self.inner.slots.iter() {
-                            if cpu != self.cpu {
-                                maint.post(MaintWork::DrainCpu { cpu: cpu.index() });
-                            }
-                        }
-                    } else {
-                        self.request_drain();
-                    }
+                    self.request_drain();
                 }
                 2 => {
                     // Rung 2: trim every global shard to `gbltarget` so
-                    // the page layer can coalesce and release frames —
-                    // posted per shard (plus a coalesce pass per class)
-                    // when the maintenance core owns the locked paths.
+                    // the page layer can coalesce and release frames.
                     let nn = self.inner.nnodes();
-                    if let Some(maint) = &self.inner.maint {
-                        for class in 0..self.inner.classes.len() {
-                            for node in 0..nn {
-                                maint.post(MaintWork::Spill { class, node });
-                            }
-                            maint.post(MaintWork::Coalesce { class });
-                        }
-                    } else {
-                        for (idx, pool) in self.inner.globals.iter().enumerate() {
-                            if let Some(spill) = pool.spill_to(pool.gbltarget()) {
-                                let class = idx / nn;
-                                // SAFETY: spilled blocks are free blocks of
-                                // `class` (shards are node-minor per class).
-                                unsafe {
-                                    self.inner.pages[class].free_chain(&self.inner.vm, spill);
-                                }
+                    for (idx, pool) in self.inner.globals.iter().enumerate() {
+                        if let Some(spill) = pool.spill_to(pool.gbltarget()) {
+                            let class = idx / nn;
+                            // SAFETY: spilled blocks are free blocks of
+                            // `class` (shards are node-minor per class).
+                            unsafe {
+                                self.inner.pages[class].free_chain(&self.inner.vm, spill);
                             }
                         }
                     }
@@ -1339,40 +1148,14 @@ impl CpuHandle {
         Ok(())
     }
 
-    /// Hands an overflow chain to this node's global shard, cascading any
-    /// spill into the (shared) coalesce-to-page layer.
-    ///
-    /// With the maintenance core enabled the spill half is deferred: the
-    /// chain is pushed (or appended) wait-free and a `Trim`/`Regroup` item
-    /// is posted instead of taking the trim path inline, so the hot CPU
-    /// never pays for the locked regroup/spill work.
+    /// Hands an overflow chain (exact or odd-sized) to this node's global
+    /// shard, cascading any spill into the (shared) coalesce-to-page
+    /// layer.
     #[cold]
     fn return_chain(&self, class: usize, chain: Chain) {
         let pool = self.inner.shard(class, self.node);
         let node_stats = &self.inner.node_stats[self.node.index()];
-        if let Some(maint) = &self.inner.maint {
-            let node = self.node.index();
-            if chain.len() == pool.target() {
-                if pool.put_chain_deferred(chain) {
-                    maint.post(MaintWork::Trim { class, node });
-                }
-            } else if pool.put_odd_deferred(chain) {
-                maint.post(MaintWork::Regroup { class, node });
-            }
-            if self.inner.faults.hit(faults::GLOBAL_SPILL) {
-                // The inline profile forces an early trim here; the
-                // deferred profile posts the equivalent spill item so the
-                // fault schedule still drives the spill/coalesce path.
-                maint.post(MaintWork::Spill { class, node });
-            }
-            return;
-        }
-        let spill = if chain.len() == pool.target() {
-            pool.put_chain(chain)
-        } else {
-            pool.put_odd(chain)
-        };
-        if let Some(spill) = spill {
+        if let Some(spill) = pool.put_chain(chain) {
             node_stats.remote_spills.add(spill.len() as u64);
             // SAFETY: spilled blocks are free blocks of this class.
             unsafe {

@@ -289,35 +289,6 @@ impl Chain {
         })
     }
 
-    /// Decomposes the chain into `(head, tail, len)` raw parts without
-    /// running the leak detector — the lock-free global stack threads the
-    /// blocks through itself and rebuilds the chain with
-    /// [`Chain::from_raw`] on pop.
-    pub(crate) fn into_raw(mut self) -> (*mut u8, *mut u8, usize) {
-        let parts = (self.head, self.tail, self.len);
-        self.forget();
-        parts
-    }
-
-    /// Reassembles a chain from raw parts.
-    ///
-    /// # Safety
-    ///
-    /// `(head, tail, len)` must describe a well-formed chain the caller
-    /// owns: `len` blocks linked head-to-tail under `key` with a null
-    /// final link — e.g. parts from [`Chain::into_raw`] whose links were
-    /// restored.
-    pub(crate) unsafe fn from_raw(head: *mut u8, tail: *mut u8, len: usize, key: LinkKey) -> Chain {
-        debug_assert!(!head.is_null() && !tail.is_null() && len > 0);
-        Chain {
-            head,
-            tail,
-            len,
-            key,
-            fault: None,
-        }
-    }
-
     /// Abandons the chain's blocks without returning them to any layer.
     ///
     /// Only for arena teardown, where the whole reservation is released at

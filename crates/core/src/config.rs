@@ -129,50 +129,6 @@ impl Default for HardenedConfig {
     }
 }
 
-/// The maintenance-core knobs. Off by default ([`MaintConfig::off`]):
-/// every slow-path chore (bound trims, bucket regrouping, pressure
-/// spills, drain requests) runs inline on the CPU that crossed the
-/// threshold, byte-for-byte the pre-maintenance behaviour. With the core
-/// enabled ([`MaintConfig::on`]), hot CPUs instead post work items to a
-/// wait-free deduplicated mailbox ([`kmem_smp::Mailbox`]) and a
-/// maintenance thread — or an explicit [`crate::KmemArena::maint_poll`]
-/// pump in deterministic tests — owns the locked slow path alone,
-/// draining the global stacks through the epoch-batched multi-chain pop.
-///
-/// The payoff is *tail* latency: the mean cost of a threshold crossing
-/// barely moves, but no application CPU ever pays the regroup/trim walk
-/// inline, so p99/p999 allocation latency drops (see `BENCH_maint.json`
-/// and DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaintConfig {
-    /// Route slow-path chores through the maintenance mailbox.
-    pub enabled: bool,
-}
-
-impl MaintConfig {
-    /// Maintenance core off — every chore inline (the default).
-    pub const fn off() -> Self {
-        MaintConfig { enabled: false }
-    }
-
-    /// Maintenance core on — chores post to the mailbox.
-    pub const fn on() -> Self {
-        MaintConfig { enabled: true }
-    }
-
-    /// Whether the maintenance core is active (the one branch the
-    /// disabled profile pays per slow-path site).
-    pub const fn any(&self) -> bool {
-        self.enabled
-    }
-}
-
-impl Default for MaintConfig {
-    fn default() -> Self {
-        MaintConfig::off()
-    }
-}
-
 /// Configuration for a [`crate::KmemArena`].
 #[derive(Debug, Clone)]
 pub struct KmemConfig {
@@ -211,8 +167,6 @@ pub struct KmemConfig {
     pub pressure: PressureConfig,
     /// Heap-corruption defenses ([`HardenedConfig::off`] by default).
     pub hardened: HardenedConfig,
-    /// Maintenance-core offload ([`MaintConfig::off`] by default).
-    pub maint: MaintConfig,
 }
 
 impl KmemConfig {
@@ -234,7 +188,6 @@ impl KmemConfig {
             faults: Faults::none(),
             pressure: PressureConfig::default(),
             hardened: HardenedConfig::off(),
-            maint: MaintConfig::off(),
         }
     }
 
@@ -253,12 +206,6 @@ impl KmemConfig {
     /// Replaces the hardened profile (builder form of the field).
     pub fn hardened(mut self, hardened: HardenedConfig) -> Self {
         self.hardened = hardened;
-        self
-    }
-
-    /// Replaces the maintenance-core profile (builder form of the field).
-    pub fn maint(mut self, maint: MaintConfig) -> Self {
-        self.maint = maint;
         self
     }
 
@@ -401,15 +348,6 @@ mod tests {
         assert!(cfg.hardened.quarantine > 0);
         assert!(!cfg.hardened.panic_on_corruption);
         assert!(HardenedConfig::full(1).panicking().panic_on_corruption);
-        cfg.validate();
-    }
-
-    #[test]
-    fn maint_defaults_off_and_on_enables_the_core() {
-        let cfg = KmemConfig::small();
-        assert!(!cfg.maint.any());
-        let cfg = cfg.maint(MaintConfig::on());
-        assert!(cfg.maint.any() && cfg.maint.enabled);
         cfg.validate();
     }
 

@@ -1,4 +1,4 @@
-//! The global layer (paper Figure 3), lock-free on its common path.
+//! The global layer (paper Figure 3).
 //!
 //! "The only purpose of the global layer is to support reasonable
 //! performance in cases when one CPU allocates buffers of a given size,
@@ -6,193 +6,178 @@
 //! allows the freed buffers to move back to the allocating CPU without
 //! incurring the overhead of coalescing."
 //!
-//! Each size class has one [`GlobalPool`]. The ready `target`-sized
-//! chains — the paper's `gblfree` list, and the only structure the
-//! common CPU-to-CPU recycling pattern touches — live on a **lock-free
-//! Treiber stack** whose head is a generation-tagged word
-//! ([`kmem_smp::TaggedAtomic`]): [`GlobalPool::get_chain`] is a single
-//! CAS pop and [`GlobalPool::put_chain`] of an exact-`target` chain is a
-//! single CAS push, so the last lock on the alloc/free fast path is
-//! gone. Chains stay intact on the stack by threading the stack link
-//! through each chain head's first word and stashing the displaced
-//! intra-chain link and the tail pointer in the spare (poison) words —
-//! see [`crate::block::write_stash`].
+//! Each size class has one [`GlobalPool`] per NUMA node: the paper's
+//! design, a short-hold [`SpinLock`] around
 //!
-//! Everything else — the *bucket list* that regroups odd-sized chains
-//! (from low-memory cache flushes), short pools, bound-exceeding puts,
-//! and pressure-ladder spills — stays behind a narrow [`SpinLock`]ed
-//! slow path. The `2 * gbltarget` bound is approximated on the fast path
-//! by a block-count estimate *derived* from counters the pool already
-//! keeps ([`GlobalPool::stack_blocks`] — no dedicated count, no extra
-//! hot-path RMW); exact enforcement happens on the slow path, so
-//! concurrent fast puts can transiently overshoot the bound by at most
-//! one chain per CPU (see DESIGN.md §9 for the argument).
-//! Excess goes to the coalesce-to-page layer and an empty pool is
-//! replenished from it — both via return values, so the page layer is
-//! never entered while the slow-path lock is held.
+//! * the *ready chains* — the `gblfree` list of intact `target`-sized
+//!   chains, the only structure the common CPU-to-CPU recycling pattern
+//!   touches (get = pop one chain, put = push one chain, O(1) each);
+//! * the *bucket list*, which regroups odd-sized chains (low-memory cache
+//!   flushes, short refills handed back) into `target`-sized ones.
+//!
+//! The per-CPU layer absorbs all but about 1/`target` of the traffic, so
+//! the lock is rarely taken, and holding it makes the `2 * gbltarget`
+//! bound exact on every put: the block count is `chains * target +
+//! bucket`, read under the same lock. Excess goes to the coalesce-to-page
+//! layer and an empty pool is replenished from it — both via return
+//! values, so the page layer is never entered while the lock is held.
 
-use core::ptr;
-use core::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use kmem_smp::{faults, Faults, LocalCounter, SpinLock};
 
-use kmem_smp::{faults, EventCounter, Faults, SpinLock, TaggedAtomic};
-
-use crate::block::{self, LinkKey};
+use crate::block::LinkKey;
 use crate::chain::Chain;
 
 /// Statistics for one global pool.
 ///
 /// Beyond the access/miss pair the paper's tables need, the counters break
 /// every event down by *how* it was served — the detail the snapshot layer
-/// (`crate::snapshot`) exposes per class. The counters are chosen so the
-/// lock-free fast path bumps exactly **one** of them per operation
-/// ([`GlobalStats::get_fast`] or [`GlobalStats::put_fast`]): totals like
-/// [`GlobalStats::get`] are *derived* as `fast + slow` at read time rather
-/// than maintained with an extra hot-path RMW. The slow path bumps its
-/// entry counter (`get_slow`/`put_slow`) before any outcome detail, so a
-/// concurrent reader that loads the details first can still assert
-/// `detail <= slow-entries` on live samples.
+/// (`crate::snapshot`) exposes per class. Every counter is bumped only
+/// while the pool lock is held, so the lock holder is its single writer
+/// and a bump is a plain load/store ([`LocalCounter`]), not a shared RMW.
+/// Totals are bumped before the details they bound, so a concurrent
+/// reader that loads the details first can assert `detail <= total` on
+/// live samples.
 #[derive(Default)]
 pub struct GlobalStats {
-    /// Gets served entirely by the lock-free CAS pop (no spinlock); every
-    /// one handed out a ready `target`-sized chain.
-    pub get_fast: EventCounter,
-    /// Gets that took the locked slow path (bucket serves, short pools,
-    /// misses, and the under-lock stack retry).
-    pub get_slow: EventCounter,
-    /// Slow-path gets served by a ready chain (a racing put landed one
-    /// between the failed fast pop and the lock).
-    pub get_chain_hits_slow: EventCounter,
-    /// Gets whose first block came from the bucket list.
-    pub get_bucket_hits: EventCounter,
+    /// Chain requests served (hits and misses).
+    pub get: LocalCounter,
+    /// Gets served by a ready `target`-sized chain.
+    pub get_chain_hits: LocalCounter,
+    /// Gets not served by a ready chain (bucket serves and misses).
+    pub get_slow: LocalCounter,
+    /// Gets served from the bucket list.
+    pub get_bucket_hits: LocalCounter,
     /// Gets that handed back a sub-`target` chain (the pool held fewer
     /// than `target` blocks; each one erodes the per-CPU hysteresis).
-    pub get_short: EventCounter,
+    pub get_short: LocalCounter,
     /// Total blocks missing from short gets (`target - len`, summed).
-    pub get_short_deficit: EventCounter,
+    pub get_short_deficit: LocalCounter,
     /// Chain requests that fell through to the coalesce-to-page layer.
-    pub get_miss: EventCounter,
-    /// Exact-`target` puts served entirely by the lock-free CAS push.
-    pub put_fast: EventCounter,
-    /// Puts that took the locked slow path (odd chains, bound-exceeding
-    /// puts).
-    pub put_slow: EventCounter,
-    /// Puts that took the odd-sized bucket path (low-memory flushes).
-    pub put_odd: EventCounter,
-    /// Returns that spilled excess blocks to the coalesce-to-page layer.
-    pub put_miss: EventCounter,
+    pub get_miss: LocalCounter,
+    /// Chains returned by per-CPU caches.
+    pub put: LocalCounter,
+    /// Puts that went through the bucket list or spilled.
+    pub put_slow: LocalCounter,
+    /// Puts of odd-sized chains (low-memory flushes).
+    pub put_odd: LocalCounter,
+    /// Puts that spilled excess blocks to the coalesce-to-page layer.
+    pub put_miss: LocalCounter,
     /// Spills forced by the pressure ladder ([`GlobalPool::spill_to`])
     /// rather than by a put exceeding the bound. Counted separately from
     /// `put_miss`, which stays bounded by [`GlobalStats::put`].
-    pub pressure_spills: EventCounter,
+    pub pressure_spills: LocalCounter,
     /// Total blocks spilled to the coalesce-to-page layer (bound-exceeding
     /// puts and forced spills combined).
-    pub spill_blocks: EventCounter,
-    /// Failed tag-CAS attempts on the Treiber stack head (both pops and
-    /// pushes; monotone, and zero without contention).
-    pub cas_retries: EventCounter,
-    /// Epoch-batched stack detaches ([`GlobalPool::detach_stack_locked`]):
-    /// each one moved *every* stacked chain with a single tagged CAS and
-    /// settled the slow-path block account with a single RMW.
-    pub batch_drains: EventCounter,
-    /// Chains moved by batched detaches. `batched_chains / batch_drains`
-    /// is the per-CAS amortization the maintenance core achieves over the
-    /// one-CAS-per-chain pop loop it replaced.
-    pub batched_chains: EventCounter,
+    pub spill_blocks: LocalCounter,
 }
 
-impl GlobalStats {
-    /// Chain requests served (hits and misses): every get is either fast
-    /// or slow, so the total is derived instead of costing the fast path
-    /// a second RMW.
-    pub fn get(&self) -> u64 {
-        // Fast before slow: a live reader must never see a partition
-        // exceed a total it reads later, and `get_fast` is the half that
-        // races snapshots without a lock.
-        let fast = self.get_fast.get();
-        fast + self.get_slow.get()
-    }
-
-    /// Gets whose first block came from a ready `target`-sized chain —
-    /// every fast get plus the slow path's under-lock stack hits.
-    pub fn get_chain_hits(&self) -> u64 {
-        let fast = self.get_fast.get();
-        fast + self.get_chain_hits_slow.get()
-    }
-
-    /// Chains returned by per-CPU caches (derived, like
-    /// [`GlobalStats::get`]).
-    pub fn put(&self) -> u64 {
-        let fast = self.put_fast.get();
-        fast + self.put_slow.get()
-    }
-}
-
-/// The global free pool for one size class.
-pub struct GlobalPool {
-    /// Treiber stack of intact, exactly-`target`-sized chains. Only
-    /// [`GlobalPool::push_stack`] / [`GlobalPool::pop_stack`] touch it.
-    stack: TaggedAtomic,
-    /// Net blocks the *slow path* has moved onto (+) or off (−) the
-    /// stack: bound-exceeding puts and regrouped bucket chains add
-    /// before pushing; trims, drains, and the under-lock get retry
-    /// subtract after popping. Written only by bucket-lock holders, read
-    /// lock-free by [`GlobalPool::stack_blocks`]. Fast-path traffic is
-    /// *not* tracked here — it is derived from `put_fast`/`get_fast`, so
-    /// the fast path pays no extra RMW for the block count.
-    slow_net: AtomicI64,
-    /// The slow path: the odd-sized bucket list awaiting regrouping,
-    /// behind the pool's only lock. Holding this lock also serializes
-    /// structural decisions (trims, short gets, drains) — the lock-free
-    /// stack itself may still be pushed/popped concurrently.
-    bucket: SpinLock<Chain>,
-    target: usize,
-    gbltarget: usize,
-    /// Link-encoding key shared with every chain this pool handles (the
-    /// arena's per-secret key under the hardened profile, identity
-    /// otherwise). Steal targets share the arena key, so a stolen chain
-    /// decodes on the thief's node exactly as it would at home.
-    key: LinkKey,
+/// Everything the pool lock guards.
+struct Lists {
+    /// Intact, exactly-`target`-sized chains. Capacity for the whole
+    /// `2 * gbltarget` bound plus the one chain a put pushes before it
+    /// trims is reserved at construction, so no put reallocates under the
+    /// lock.
+    chains: Vec<Chain>,
+    /// Odd-sized blocks awaiting regrouping (always `< target` blocks
+    /// between operations).
+    bucket: Chain,
     /// Blocks sunk by a detected bucket-link corruption: they are
     /// unreachable through the clobbered word, so the pool drops them and
     /// records the loss here for the conservation check.
-    sunk: AtomicUsize,
+    sunk: usize,
+}
+
+impl Lists {
+    /// Exact block count: every ready chain holds `target` blocks.
+    fn blocks(&self, target: usize) -> usize {
+        self.chains.len() * target + self.bucket.len()
+    }
+
+    /// Regroup: "the bucket list, which is used to group the blocks back
+    /// into target-sized lists". Each regrouped chain walks `target`
+    /// links.
+    fn regroup(&mut self, target: usize) {
+        while self.bucket.len() >= target {
+            let grouped = self.bucket.split_first(target);
+            self.chains.push(grouped);
+        }
+    }
+
+    /// Trims the pool to at most `bound` blocks and regroups what is
+    /// left, returning the spill. Whole ready chains go first, newest
+    /// first, in O(1) each — an exact put over the bound spills the chain
+    /// it just pushed without walking it. A remainder smaller than a
+    /// chain comes from the bucket, and a ready chain is split only when
+    /// that lands the pool exactly on the bound.
+    fn trim(&mut self, target: usize, bound: usize) -> Option<Chain> {
+        let mut excess = self.blocks(target).saturating_sub(bound);
+        let spill = (excess > 0).then(|| {
+            let mut spill = Chain::new_keyed(self.bucket.key());
+            while excess >= target {
+                let Some(mut chain) = self.chains.pop() else {
+                    break;
+                };
+                spill.append(&mut chain);
+                excess -= target;
+            }
+            let from_bucket = excess.min(self.bucket.len());
+            if from_bucket > 0 {
+                spill.append(&mut self.bucket.split_first(from_bucket));
+                excess -= from_bucket;
+            }
+            if excess > 0 {
+                // Only here when the bucket ran dry with less than a
+                // chain to go, so a ready chain longer than `excess` exists.
+                let mut chain = self.chains.pop().expect("block count covers the excess");
+                spill.append(&mut chain.split_first(excess));
+                self.bucket.append(&mut chain);
+            }
+            spill
+        });
+        self.regroup(target);
+        spill
+    }
+}
+
+/// The global free pool for one size class (one NUMA shard).
+pub struct GlobalPool {
+    lists: SpinLock<Lists>,
+    target: usize,
+    gbltarget: usize,
     faults: Faults,
     stats: GlobalStats,
 }
 
 impl GlobalPool {
-    /// Creates an empty pool with the class's `target` and `gbltarget`.
+    /// Creates an empty pool with the class's `target` and `gbltarget`,
+    /// plain link encoding and no failpoints.
     pub fn new(target: usize, gbltarget: usize) -> Self {
-        GlobalPool::new_with_faults(target, gbltarget, Faults::none())
-    }
-
-    /// Creates an empty pool wired to `faults`: the `faults::GLOBAL_GET`
-    /// site is consulted on *both* the CAS fast path and the locked slow
-    /// path of [`GlobalPool::get_chain`].
-    pub fn new_with_faults(target: usize, gbltarget: usize, faults: Faults) -> Self {
-        GlobalPool::new_hardened(target, gbltarget, Faults::none(), LinkKey::PLAIN)
-            .with_faults(faults)
-    }
-
-    /// Creates an empty pool whose stack words, stash words, and bucket
-    /// links are all encoded under `key`.
-    pub fn new_hardened(target: usize, gbltarget: usize, faults: Faults, key: LinkKey) -> Self {
         assert!(target >= 1, "target-sized chains must hold a block");
         GlobalPool {
-            stack: TaggedAtomic::null(),
-            slow_net: AtomicI64::new(0),
-            bucket: SpinLock::new(Chain::new_keyed(key)),
+            lists: SpinLock::new(Lists {
+                chains: Vec::with_capacity(2 * gbltarget / target + 1),
+                bucket: Chain::new(),
+                sunk: 0,
+            }),
             target,
             gbltarget,
-            key,
-            sunk: AtomicUsize::new(0),
-            faults,
+            faults: Faults::none(),
             stats: GlobalStats::default(),
         }
     }
 
-    fn with_faults(mut self, faults: Faults) -> Self {
+    /// Wires the pool to `faults`: [`GlobalPool::get_chain`] consults the
+    /// `faults::GLOBAL_GET` site once per call.
+    pub fn with_faults(mut self, faults: Faults) -> Self {
         self.faults = faults;
+        self
+    }
+
+    /// Encodes the bucket's links under `key` (the arena's per-secret key
+    /// under the hardened profile). Steal targets share the arena key, so
+    /// a stolen chain decodes on the thief's node exactly as at home.
+    pub(crate) fn with_key(self, key: LinkKey) -> Self {
+        self.lists.lock().bucket = Chain::new_keyed(key);
         self
     }
 
@@ -211,496 +196,106 @@ impl GlobalPool {
         &self.stats
     }
 
-    /// Pushes an exactly-`target`-sized chain onto the lock-free stack.
-    ///
-    /// The chain is kept intact: the head's first word becomes the stack
-    /// link, the displaced intra-chain link moves to the head's second
-    /// word, and the tail pointer to the second block's second word
-    /// (single-block chains need no stashing — head *is* tail). Only the
-    /// head's first word is ever read by non-owners, so only it uses
-    /// atomic accesses.
-    fn push_stack(&self, chain: Chain) {
-        let (head, tail, len) = chain.into_raw();
-        debug_assert_eq!(len, self.target, "stack chains must be exactly target");
-        if len > 1 {
-            // SAFETY: we own the chain; head and its successor are free
-            // blocks of at least MIN_BLOCK bytes.
-            unsafe {
-                let second = block::read_next(head, self.key);
-                block::write_stash(head, second, self.key);
-                block::write_stash(second, tail, self.key);
-            }
-        }
-        let mut cur = self.stack.load();
-        loop {
-            // SAFETY: we still own `head` until the CAS publishes it.
-            unsafe { block::write_next_atomic(head, cur.ptr(), self.key) };
-            match self.stack.compare_exchange(cur, head) {
-                Ok(_) => return,
-                Err(seen) => {
-                    self.stats.cas_retries.inc();
-                    cur = seen;
-                }
-            }
-        }
-    }
-
-    /// Pops one intact `target`-sized chain off the lock-free stack, or
-    /// `None` if the stack is empty. Counter-free: callers attribute the
-    /// pop to their own path.
-    fn pop_stack(&self) -> Option<Chain> {
-        let mut cur = self.stack.load();
-        loop {
-            if cur.is_null() {
-                return None;
-            }
-            let head = cur.ptr();
-            // SAFETY: `head` may already have been popped by a racing
-            // CPU — the arena reservation is type-stable, so this atomic
-            // load cannot fault, and a stale value is discarded below
-            // when the generation-tag CAS fails.
-            let next = unsafe { block::read_next_atomic(head, self.key) };
-            match self.stack.compare_exchange(cur, next) {
-                Ok(_) => {
-                    // SAFETY: the successful tag CAS transferred the
-                    // whole chain under `head` to us.
-                    return Some(unsafe { self.rebuild_chain(head) });
-                }
-                Err(seen) => {
-                    self.stats.cas_retries.inc();
-                    cur = seen;
-                }
-            }
-        }
-    }
-
-    /// Restores the intra-chain layout of a freshly popped stack chain.
-    ///
-    /// # Safety
-    ///
-    /// `head` must be a chain head this CPU just popped (owns) that was
-    /// laid out by [`GlobalPool::push_stack`] for this pool's `target`.
-    unsafe fn rebuild_chain(&self, head: *mut u8) -> Chain {
-        if self.target == 1 {
-            // SAFETY: we own `head`; racing poppers may still load its
-            // first word, hence the atomic store.
-            unsafe { block::write_next_atomic(head, ptr::null_mut(), self.key) };
-            // SAFETY: a single owned block is a well-formed chain.
-            return unsafe { Chain::from_raw(head, head, 1, self.key) };
-        }
-        // SAFETY: push_stack stashed the second-block and tail pointers
-        // in the spare words; taking them back re-poisons the words.
-        let second = unsafe { block::take_stash(head, self.key) };
-        // Under a hardened key, a scribble over the head's stash word
-        // decodes to an implausible second-block pointer; stop before
-        // dereferencing it. A clean panic (not a typed error) because the
-        // popped chain is already off the stack: there is no caller state
-        // to unwind to that could keep the arena consistent.
-        if !self.key.is_plain() && (!self.key.plausible(second) || second.is_null()) {
-            panic!(
-                "corrupted freelist link: stash word of stacked chain head {head:p} decoded to {second:p}"
-            );
-        }
-        // SAFETY: as above (plausibility-checked under hardened keys).
-        let tail = unsafe { block::take_stash(second, self.key) };
-        if !self.key.is_plain() && (!self.key.plausible(tail) || tail.is_null()) {
-            panic!(
-                "corrupted freelist link: tail stash of stacked chain {head:p} decoded to {tail:p}"
-            );
-        }
-        // SAFETY: restoring the intra-chain link we displaced; atomic
-        // because racing poppers may still load this word.
-        unsafe { block::write_next_atomic(head, second, self.key) };
-        // SAFETY: head -> second -> … -> tail is the original chain.
-        unsafe { Chain::from_raw(head, tail, self.target, self.key) }
-    }
-
-    /// Conservative lock-free estimate of the blocks on the stack.
-    ///
-    /// No dedicated counter is maintained — that would put a
-    /// `fetch_add`/`fetch_sub` pair back on the CAS fast path. Instead
-    /// the estimate is derived from counters the pool already keeps:
-    /// the fast-path op counters (`put_fast` rises *before* its push,
-    /// `get_fast` *after* its pop) plus [`GlobalPool::slow_net`], the
-    /// lock holders' net block movement (also added before pushes,
-    /// subtracted after pops). A torn sweep — another CPU completing
-    /// round trips between the loads — could inflate the estimate
-    /// without bound, so the sweep is seqlock-style: it retries while
-    /// `put_fast` moves. With `put_fast` stable across the window, any
-    /// pop the window counts is of a chain whose push it also counts:
-    /// fast pushes raise `put_fast` first and would force a retry, and
-    /// slow pushes raise `slow_net` before publishing, which reading
-    /// `slow_net` *after* `get_fast` picks up through the pop's release
-    /// chain. The result therefore overstates only by in-flight pushes
-    /// that have raised their counter but not yet landed — at most one
-    /// chain per CPU, the overshoot already granted by the approximate
-    /// bound (DESIGN.md §9) — and never understates. Exact at
-    /// quiescence. Under a sustained put storm the retry loop could
-    /// spin, so after a few rounds it falls back to the torn-but-
-    /// conservative read of [`GlobalPool::bound_estimate`].
-    ///
-    /// Callers are the slow-path consumers (trims, `len`, drains),
-    /// where the retry cost is irrelevant and accuracy prevents
-    /// spurious spills; the put fast path uses `bound_estimate`.
-    fn stack_blocks(&self) -> usize {
-        let mut pushed = self.stats.put_fast.get();
-        for attempt in 0.. {
-            let popped = self.stats.get_fast.get();
-            let slow = self.slow_net.load(Ordering::Acquire);
-            let pushed_after = self.stats.put_fast.get();
-            if pushed_after == pushed || attempt == 8 {
-                let est = self.target as i64 * (pushed_after as i64 - popped as i64) + slow;
-                return est.max(0) as usize;
-            }
-            pushed = pushed_after;
-        }
-        unreachable!("loop above always returns")
-    }
-
-    /// Cheapest bound-safe estimate — three loads, no retry — for the
-    /// put fast path. Reading `get_fast` (stale) before `put_fast`
-    /// (fresh) means round trips completing mid-sweep *inflate* the
-    /// result, so it never understates the stack and the `2 *
-    /// gbltarget` check stays sound. The inflation is unbounded in
-    /// theory (a long preemption mid-sweep), but the only consequence
-    /// is a spurious slow-path entry, where [`GlobalPool::stack_blocks`]
-    /// re-judges accurately under the lock.
-    fn bound_estimate(&self) -> usize {
-        let popped = self.stats.get_fast.get() as i64;
-        let slow = self.slow_net.load(Ordering::Acquire);
-        let pushed = self.stats.put_fast.get() as i64;
-        (self.target as i64 * (pushed - popped) + slow).max(0) as usize
-    }
-
-    /// Slow-path push: accounts the chain in `slow_net` *before*
-    /// publishing it, so [`GlobalPool::stack_blocks`] never understates.
-    /// Caller must hold the bucket lock.
-    fn push_stack_slow(&self, chain: Chain) {
-        self.slow_net
-            .fetch_add(chain.len() as i64, Ordering::Release);
-        self.push_stack(chain);
-    }
-
-    /// Slow-path pop: accounts the chain *after* it is off the stack.
-    /// Caller must hold the bucket lock.
-    fn pop_stack_slow(&self) -> Option<Chain> {
-        let chain = self.pop_stack()?;
-        self.slow_net
-            .fetch_sub(chain.len() as i64, Ordering::Release);
-        Some(chain)
-    }
-
-    /// Epoch-batched multi-chain pop: detaches **every** stacked chain
-    /// with a *single* tagged CAS (swap the head to null), rebuilds the
-    /// run privately, and settles the slow-path block account with a
-    /// *single* RMW — instead of one CAS plus one `fetch_sub` per chain.
-    /// This is what the maintenance core drains through: a bulk drain of
-    /// N chains costs O(1) shared-line RMWs on the stack head no matter
-    /// how large N is (probe-asserted in the tests below).
-    ///
-    /// Returns the merged chain and the number of chains it contained.
-    /// Caller must hold the bucket lock (the `slow_net` convention); the
-    /// walk itself touches only blocks the CAS transferred to us.
-    fn detach_stack_locked(&self) -> (Chain, usize) {
-        let mut all = Chain::new_keyed(self.key);
-        let mut cur = self.stack.load();
-        let run = loop {
-            if cur.is_null() {
-                return (all, 0);
-            }
-            match self.stack.compare_exchange(cur, ptr::null_mut()) {
-                Ok(_) => break cur.ptr(),
-                Err(seen) => {
-                    self.stats.cas_retries.inc();
-                    cur = seen;
-                }
-            }
-        };
-        let mut node = run;
-        let mut chains = 0usize;
-        while !node.is_null() {
-            // Read the stack link *before* rebuilding: rebuild_chain
-            // overwrites the head's first word with the intra-chain link.
-            // SAFETY: the successful detach CAS transferred the whole run
-            // to us; every node is an owned chain head.
-            let next = unsafe { block::read_next_atomic(node, self.key) };
-            // SAFETY: as above — `node` is an owned chain head laid out by
-            // push_stack for this pool's target.
-            let mut chain = unsafe { self.rebuild_chain(node) };
-            all.append(&mut chain);
-            chains += 1;
-            node = next;
-        }
-        // One settle for the whole epoch: every stacked chain is exactly
-        // `target` blocks, so the batch moved `chains * target` blocks.
-        self.slow_net
-            .fetch_sub((chains * self.target) as i64, Ordering::Release);
-        self.stats.batch_drains.inc();
-        self.stats.batched_chains.add(chains as u64);
-        (all, chains)
-    }
-
-    /// The batched analogue of [`GlobalPool::trim_locked`], used by the
-    /// maintenance core: one detach CAS pulls the whole stack, exact
-    /// arithmetic decides the spill, and the remainder regroups back. The
-    /// re-push CASes run on the maintenance core, not a hot CPU. Caller
-    /// holds the bucket lock; counter-free like `trim_locked`.
-    fn trim_batched_locked(&self, bucket: &mut Chain, bound: usize) -> Option<Chain> {
-        if self.stack_blocks() + bucket.len() <= bound {
-            return None;
-        }
-        let (mut pool_blocks, _chains) = self.detach_stack_locked();
-        pool_blocks.append(bucket);
-        let total = pool_blocks.len();
-        if total <= bound {
-            // The estimate over-stated (in-flight fast puts); put
-            // everything back and let the next crossing re-judge.
-            bucket.append(&mut pool_blocks);
-            self.regroup(bucket);
-            return None;
-        }
-        let spill = pool_blocks.split_first(total - bound);
-        debug_assert_eq!(spill.len(), total - bound);
-        bucket.append(&mut pool_blocks);
-        self.regroup(bucket);
-        Some(spill)
+    /// Acquisitions of the pool lock that found it held (monotone; zero
+    /// without contention). Published as the snapshot's `cas_retries`.
+    pub(crate) fn lock_contended(&self) -> u64 {
+        self.lists.stats().contended.get()
     }
 
     /// Fetches a chain for a per-CPU cache.
     ///
-    /// The common case is a single tag-CAS pop of a ready `target`-sized
-    /// chain — no lock. When the stack is empty the locked slow path
-    /// serves from the bucket list instead, so the caller receives
-    /// `min(target, pool_total)` blocks — the most the paper's
-    /// hysteresis guarantee ("the global layer will be accessed at most
-    /// one time per target-number of accesses") can get. A chain shorter
-    /// than `target` is handed back only when the whole pool holds fewer
-    /// than `target` blocks, counted in `get_short`/`get_short_deficit`.
+    /// A ready `target`-sized chain if there is one; otherwise the bucket
+    /// list serves, so the caller receives `min(target, pool_total)`
+    /// blocks — the most the paper's hysteresis guarantee ("the global
+    /// layer will be accessed at most one time per target-number of
+    /// accesses") can get. A chain shorter than `target` is handed back
+    /// only when the whole pool holds fewer than `target` blocks, counted
+    /// in `get_short`/`get_short_deficit`.
     ///
     /// Returns `None` when the pool is empty — the caller then asks the
     /// coalesce-to-page layer (the counted miss) — or when the
     /// `faults::GLOBAL_GET` failpoint fires.
     pub fn get_chain(&self) -> Option<Chain> {
-        // The failpoint preempts the pool entirely (fast and slow path
-        // alike), exactly as an injected global-layer miss should.
         if self.faults.hit(faults::GLOBAL_GET) {
             return None;
         }
-        if let Some(chain) = self.pop_stack() {
-            // The fast path's *only* counter write; `get` and
-            // `get_chain_hits` are derived from it at read time.
-            self.stats.get_fast.inc();
+        let mut lists = self.lists.lock();
+        let s = &self.stats;
+        s.get.bump();
+        if let Some(chain) = lists.chains.pop() {
+            s.get_chain_hits.bump();
             return Some(chain);
         }
-        self.get_slow()
-    }
-
-    /// Work-stealing get against a *remote* node's shard: pops one ready
-    /// `target`-sized chain with the same single tag-CAS as the local
-    /// fast path, but never falls through to the locked bucket path — a
-    /// thief takes only what is cheap to take and leaves the victim's
-    /// slow-path structures alone. Counted as a fast get so the
-    /// `get = get_fast + get_slow` partition (and the derived
-    /// `get_chain_hits`) stays exact; the *thief's* arena attributes the
-    /// refill to stealing in its per-node stats.
-    pub fn steal_chain(&self) -> Option<Chain> {
-        let chain = self.pop_stack()?;
-        self.stats.get_fast.inc();
-        Some(chain)
-    }
-
-    /// The locked get path: retry the stack under the lock, then serve
-    /// (possibly short) from the bucket list.
-    #[cold]
-    fn get_slow(&self) -> Option<Chain> {
-        self.stats.get_slow.inc();
-        let mut bucket = self.bucket.lock();
-        // The slow path honours the same failpoint: a lock-free rework
-        // must never route around an armed site.
-        if self.faults.hit(faults::GLOBAL_GET) {
-            drop(bucket);
-            self.stats.get_miss.inc();
+        s.get_slow.bump();
+        if lists.bucket.is_empty() {
+            s.get_miss.bump();
             return None;
         }
-        // A racing put may have pushed a chain after our empty fast-path
-        // pop; prefer it over a short bucket serve.
-        if let Some(chain) = self.pop_stack_slow() {
-            self.stats.get_chain_hits_slow.inc();
-            return Some(chain);
-        }
-        if bucket.is_empty() {
-            drop(bucket);
-            self.stats.get_miss.inc();
-            return None;
-        }
-        let n = bucket.len().min(self.target);
-        let chain = match bucket.try_split_first(n) {
-            Ok(chain) => chain,
+        let n = lists.bucket.len().min(self.target);
+        match lists.bucket.try_split_first(n) {
+            Ok(chain) => {
+                if n < self.target {
+                    s.get_short_deficit.add((self.target - n) as u64);
+                    s.get_short.bump();
+                }
+                s.get_bucket_hits.bump();
+                Some(chain)
+            }
             Err(fault) => {
                 // A clobbered bucket link: the walk stopped before
                 // dereferencing it, the bucket sank its now-unreachable
                 // blocks, and this get becomes a miss the page layer will
                 // serve. The loss is recorded for the conservation check.
-                drop(bucket);
-                self.sunk.fetch_add(fault.lost, Ordering::Relaxed);
-                self.stats.get_miss.inc();
-                return None;
+                lists.sunk += fault.lost;
+                s.get_miss.bump();
+                None
             }
-        };
-        drop(bucket);
-        if n < self.target {
-            self.stats.get_short_deficit.add((self.target - n) as u64);
-            self.stats.get_short.inc();
         }
-        self.stats.get_bucket_hits.inc();
+    }
+
+    /// Work-stealing get against a *remote* node's shard: takes one ready
+    /// `target`-sized chain and never touches the victim's bucket — a
+    /// thief takes only what is cheap to take. A successful steal counts
+    /// as a chain-hit get; the *thief's* arena attributes the refill to
+    /// stealing in its per-node stats.
+    pub fn steal_chain(&self) -> Option<Chain> {
+        let mut lists = self.lists.lock();
+        let chain = lists.chains.pop()?;
+        self.stats.get.bump();
+        self.stats.get_chain_hits.bump();
         Some(chain)
     }
 
-    /// Accepts an exactly-`target`-sized chain from a per-CPU cache.
+    /// Accepts a chain from a per-CPU cache.
     ///
-    /// The common case is a single tag-CAS push — no lock. The derived
-    /// block-count estimate ([`GlobalPool::stack_blocks`]) approximates
-    /// the `2 * gbltarget` bound: a put that would exceed it takes the
-    /// locked slow path, which pushes the chain and then trims the pool
-    /// exactly. Concurrent fast puts can overshoot transiently by at
-    /// most one chain per CPU.
+    /// An exact-`target` chain joins the ready chains in O(1). Any other
+    /// chain — an odd-sized flush — goes to the bucket list, which
+    /// regroups it into `target`-sized chains. Either way the pool is
+    /// then trimmed to exactly the `2 * gbltarget` bound.
     ///
-    /// A chain of any other length is routed through the bucket list
-    /// instead of corrupting the ready-chain stack (the internal callers
-    /// always pass exact chains; the routing keeps the stack's invariant —
-    /// every stacked chain holds exactly `target` blocks — intact under
-    /// misuse).
-    ///
-    /// Returns the excess to push down to the coalesce-to-page layer when
-    /// the pool exceeds `2 * gbltarget` blocks.
-    pub fn put_chain(&self, chain: Chain) -> Option<Chain> {
-        if chain.len() != self.target {
-            return self.put_odd(chain);
-        }
-        if self.bound_estimate() + self.target <= 2 * self.gbltarget {
-            // The fast path's only counter write; `put` is derived, and
-            // `stack_blocks` folds this increment into its estimate —
-            // hence inc *before* push (the mirror of `get_chain`'s
-            // pop-then-inc), keeping the estimate conservative.
-            self.stats.put_fast.inc();
-            self.push_stack(chain);
-            return None;
-        }
-        self.stats.put_slow.inc();
-        let mut bucket = self.bucket.lock();
-        self.push_stack_slow(chain);
-        self.spill_locked(&mut bucket)
-    }
-
-    /// Accepts an odd-sized chain (low-memory flushes, partial refills
-    /// handed back). Blocks land in the bucket list, which regroups them
-    /// into `target`-sized chains pushed back onto the lock-free stack.
-    pub fn put_odd(&self, mut chain: Chain) -> Option<Chain> {
+    /// Returns the excess to push down to the coalesce-to-page layer.
+    pub fn put_chain(&self, mut chain: Chain) -> Option<Chain> {
         if chain.is_empty() {
             return None;
         }
-        self.stats.put_slow.inc();
-        self.stats.put_odd.inc();
-        let mut bucket = self.bucket.lock();
-        bucket.append(&mut chain);
-        self.regroup(&mut bucket);
-        self.spill_locked(&mut bucket)
-    }
-
-    /// Deferred-maintenance put of an exact-`target` chain: *always*
-    /// pushes wait-free (the same counted fast-path push as
-    /// [`GlobalPool::put_chain`]'s common case, so the derived block
-    /// estimate stays exact) and returns whether the pool is now over its
-    /// `2 * gbltarget` bound. On `true` the caller posts a `Trim` work
-    /// item to the maintenance mailbox instead of trimming inline — the
-    /// hot CPU never takes the bucket lock on this path. The bound
-    /// overshoots transiently until the maintenance core drains the trim;
-    /// the arena's invariant walker is run after the pump in maintenance
-    /// mode (DESIGN.md §13).
-    ///
-    /// A wrong-length chain routes through
-    /// [`GlobalPool::put_odd_deferred`], mirroring `put_chain`'s routing.
-    pub fn put_chain_deferred(&self, chain: Chain) -> bool {
-        if chain.len() != self.target {
-            return self.put_odd_deferred(chain);
+        let bound = 2 * self.gbltarget;
+        let mut lists = self.lists.lock();
+        let s = &self.stats;
+        s.put.bump();
+        if chain.len() == self.target {
+            lists.chains.push(chain);
+            if lists.blocks(self.target) <= bound {
+                return None;
+            }
+            s.put_slow.bump();
+        } else {
+            s.put_slow.bump();
+            s.put_odd.bump();
+            lists.bucket.append(&mut chain);
         }
-        let over = self.bound_estimate() + self.target > 2 * self.gbltarget;
-        self.stats.put_fast.inc();
-        self.push_stack(chain);
-        over
-    }
-
-    /// Deferred-maintenance odd put: blocks land in the bucket with one
-    /// O(1) lock-append — no regroup walk, no trim — and the caller posts
-    /// a `Regroup` work item. Returns whether maintenance is needed
-    /// (always, for a non-empty chain; the mailbox dedups the storm).
-    /// Gets stay correct meanwhile: the locked get path serves straight
-    /// from the un-regrouped bucket.
-    pub fn put_odd_deferred(&self, mut chain: Chain) -> bool {
-        if chain.is_empty() {
-            return false;
-        }
-        self.stats.put_slow.inc();
-        self.stats.put_odd.inc();
-        let mut bucket = self.bucket.lock();
-        bucket.append(&mut chain);
-        true
-    }
-
-    /// Maintenance-core trim to the standard `2 * gbltarget` bound via
-    /// the epoch-batched detach — the deferred half of a bound-exceeding
-    /// put, with the same attribution as the inline path (`put_miss`,
-    /// `spill_blocks`).
-    pub fn maint_trim(&self) -> Option<Chain> {
-        let mut bucket = self.bucket.lock();
-        let spill = self.trim_batched_locked(&mut bucket, 2 * self.gbltarget)?;
-        drop(bucket);
-        self.stats.put_miss.inc();
-        self.stats.spill_blocks.add(spill.len() as u64);
-        Some(spill)
-    }
-
-    /// Maintenance-core regroup of the bucket list (the deferred half of
-    /// an odd put), then the standard bound trim — identical tail to the
-    /// inline [`GlobalPool::put_odd`].
-    pub fn maint_regroup(&self) -> Option<Chain> {
-        let mut bucket = self.bucket.lock();
-        self.regroup(&mut bucket);
-        self.spill_locked(&mut bucket)
-    }
-
-    /// Maintenance-core pressure spill down to `bound` via the batched
-    /// detach — the deferred [`GlobalPool::spill_to`], with the same
-    /// attribution (`pressure_spills`, `spill_blocks`).
-    pub fn maint_spill(&self, bound: usize) -> Option<Chain> {
-        let mut bucket = self.bucket.lock();
-        let spill = self.trim_batched_locked(&mut bucket, bound)?;
-        drop(bucket);
-        self.stats.pressure_spills.inc();
-        self.stats.spill_blocks.add(spill.len() as u64);
-        Some(spill)
-    }
-
-    /// Regroup: "the bucket list, which is used to group the blocks back
-    /// into target-sized lists". Exact chains leave the bucket for the
-    /// lock-free stack, where gets can reach them without the lock.
-    fn regroup(&self, bucket: &mut Chain) {
-        while bucket.len() >= self.target {
-            let grouped = bucket.split_first(self.target);
-            self.push_stack_slow(grouped);
-        }
-    }
-
-    /// Trims the pool to exactly `2 * gbltarget` blocks, returning the
-    /// spill.
-    ///
-    /// Whole chains are shed first (O(1) each); the final chain is *split*
-    /// so the pool lands exactly on the bound. The split walk is bounded
-    /// by `target` links and happens at most once per spill.
-    fn spill_locked(&self, bucket: &mut Chain) -> Option<Chain> {
-        let spill = self.trim_locked(bucket, 2 * self.gbltarget)?;
-        self.stats.put_miss.inc();
-        self.stats.spill_blocks.add(spill.len() as u64);
+        let spill = lists.trim(self.target, bound)?;
+        s.put_miss.bump();
+        s.spill_blocks.add(spill.len() as u64);
         Some(spill)
     }
 
@@ -709,63 +304,16 @@ impl GlobalPool {
     /// coalesce-to-page layer. `None` when the pool is already within
     /// bounds. Counted in `pressure_spills`, not `put_miss`.
     pub fn spill_to(&self, bound: usize) -> Option<Chain> {
-        let mut bucket = self.bucket.lock();
-        let spill = self.trim_locked(&mut bucket, bound)?;
-        drop(bucket);
-        self.stats.pressure_spills.inc();
+        let mut lists = self.lists.lock();
+        let spill = lists.trim(self.target, bound)?;
+        self.stats.pressure_spills.bump();
         self.stats.spill_blocks.add(spill.len() as u64);
         Some(spill)
     }
 
-    /// The trimming walk shared by [`GlobalPool::spill_locked`] and
-    /// [`GlobalPool::spill_to`]; counter-free so each caller can attribute
-    /// the spill to its own cause. Caller holds the bucket lock; stack
-    /// chains are shed through ordinary lock-free pops, so concurrent
-    /// fast-path traffic stays correct (and may make the trim
-    /// approximate — the next slow-path entry re-trims).
-    fn trim_locked(&self, bucket: &mut Chain, bound: usize) -> Option<Chain> {
-        let mut total = self.stack_blocks() + bucket.len();
-        if total <= bound {
-            return None;
-        }
-        let mut spill = Chain::new_keyed(self.key);
-        while total > bound {
-            let excess = total - bound;
-            match self.pop_stack_slow() {
-                Some(mut chain) if chain.len() > excess => {
-                    let mut cut = chain.split_first(excess);
-                    total -= excess;
-                    spill.append(&mut cut);
-                    // The kept remainder is odd-sized; it goes back through
-                    // the bucket (and regroups if the bucket fills up).
-                    bucket.append(&mut chain);
-                    self.regroup(bucket);
-                }
-                Some(mut chain) => {
-                    total -= chain.len();
-                    spill.append(&mut chain);
-                }
-                None => {
-                    // Only the bucket is left; trim it directly.
-                    let n = excess.min(bucket.len());
-                    if n == 0 {
-                        break;
-                    }
-                    let mut cut = bucket.split_first(n);
-                    total -= n;
-                    spill.append(&mut cut);
-                }
-            }
-        }
-        Some(spill)
-    }
-
-    /// Current block count (tests and the invariant walker). Exact at
-    /// quiescence; a live sample may transiently overstate by chains
-    /// whose push has been counted but not yet published.
+    /// Current block count (exact; takes the pool lock).
     pub fn len(&self) -> usize {
-        let bucket = self.bucket.lock().len();
-        self.stack_blocks() + bucket
+        self.lists.lock().blocks(self.target)
     }
 
     /// Returns whether the pool is empty.
@@ -777,17 +325,16 @@ impl GlobalPool {
     /// part of the arena's reservation, so the conservation check counts
     /// them alongside free and cached blocks.
     pub fn sunk(&self) -> usize {
-        self.sunk.load(Ordering::Relaxed)
+        self.lists.lock().sunk
     }
 
-    /// Drains every block (arena teardown and low-memory reclaim) through
-    /// the epoch-batched detach: the whole stack moves with one tagged
-    /// CAS and one counter settle, however many chains it held.
+    /// Drains every block (arena teardown and low-memory reclaim).
     pub fn drain_all(&self) -> Chain {
-        let mut bucket = self.bucket.lock();
-        let mut all = bucket.take();
-        let (mut stacked, _chains) = self.detach_stack_locked();
-        all.append(&mut stacked);
+        let mut lists = self.lists.lock();
+        let mut all = lists.bucket.take();
+        while let Some(mut chain) = lists.chains.pop() {
+            all.append(&mut chain);
+        }
         all
     }
 }
@@ -795,6 +342,8 @@ impl GlobalPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::sync::atomic::{AtomicUsize, Ordering};
+
     use kmem_smp::probe::{self, ProbeEvent};
     use kmem_smp::FailPolicy;
 
@@ -848,7 +397,6 @@ mod tests {
 
     #[test]
     fn single_block_targets_round_trip() {
-        // target == 1: chain head == tail, no stash words in play.
         let mut blocks = Blocks::new(8);
         let pool = GlobalPool::new(1, 4);
         for _ in 0..4 {
@@ -864,20 +412,19 @@ mod tests {
     }
 
     #[test]
-    fn popped_chains_walk_intact() {
-        // The stack borrows chain-interior words; a popped chain must walk
-        // head-to-tail with its original blocks and a working tail.
+    fn ready_chains_come_back_intact() {
+        // A ready chain is stored whole: it walks head-to-tail with its
+        // original blocks and a working tail.
         let mut blocks = Blocks::new(64);
         for target in [2usize, 3, 5, 8] {
             let pool = GlobalPool::new(target, 4 * target);
             let c = blocks.chain(target);
             let members: Vec<*mut u8> = c.iter().collect();
             pool.put_chain(c);
-            pool.put_chain(blocks.chain(target)); // stack depth 2
-            discard(pool.get_chain().unwrap()); // pops the second chain
+            pool.put_chain(blocks.chain(target));
+            discard(pool.get_chain().unwrap()); // the second chain
             let mut got = pool.get_chain().unwrap();
             assert_eq!(got.iter().collect::<Vec<_>>(), members);
-            // The tail pointer survived the stash round trip: append works.
             let mut more = blocks.chain(1);
             got.append(&mut more);
             assert_eq!(got.len(), target + 1);
@@ -890,8 +437,8 @@ mod tests {
         let mut blocks = Blocks::new(64);
         let pool = GlobalPool::new(3, 12);
         // 2 + 2 blocks: one regrouped chain of 3 plus 1 in the bucket.
-        assert!(pool.put_odd(blocks.chain(2)).is_none());
-        assert!(pool.put_odd(blocks.chain(2)).is_none());
+        assert!(pool.put_chain(blocks.chain(2)).is_none());
+        assert!(pool.put_chain(blocks.chain(2)).is_none());
         assert_eq!(pool.len(), 4);
         let first = pool.get_chain().unwrap();
         assert_eq!(first.len(), 3);
@@ -924,15 +471,18 @@ mod tests {
         let mut blocks = Blocks::new(64);
         // target 5, gbltarget 5: capacity 10.
         let pool = GlobalPool::new(5, 5);
-        // 12 odd blocks regroup into two chains of 5 plus 2 in the bucket;
-        // exactly the 2 excess blocks are shed (the final chain is split),
-        // leaving the pool at its 10-block bound.
-        let spill = pool.put_odd(blocks.chain(12)).unwrap();
+        // 12 odd blocks: exactly the 2 excess blocks are shed and the
+        // remaining 10 regroup into two chains of 5.
+        let spill = pool.put_chain(blocks.chain(12)).unwrap();
         assert_eq!(spill.len(), 2);
         assert_eq!(pool.len(), 10);
         assert_eq!(pool.stats().spill_blocks.get(), 2);
+        for _ in 0..2 {
+            let c = pool.get_chain().unwrap();
+            assert_eq!(c.len(), 5);
+            discard(c);
+        }
         discard(spill);
-        discard(pool.drain_all());
     }
 
     #[test]
@@ -945,13 +495,9 @@ mod tests {
         for _ in 0..4 {
             assert!(pool.put_chain(blocks.chain(3)).is_none());
         }
-        assert_eq!(pool.len(), 12);
-        // One more block (odd put) pushes the total to 13.
-        let spill = pool.put_odd(blocks.chain(1)).unwrap();
+        let spill = pool.put_chain(blocks.chain(1)).unwrap();
         assert_eq!(spill.len(), 1);
         assert_eq!(pool.len(), 12);
-        // The split remainder keeps serving full chains: 12 blocks are
-        // still four exact `target`-chains' worth.
         for _ in 0..4 {
             let c = pool.get_chain().unwrap();
             assert_eq!(c.len(), 3);
@@ -962,16 +508,35 @@ mod tests {
     }
 
     #[test]
+    fn exact_put_a_few_blocks_over_the_bound_sheds_the_bucket() {
+        // 2 bucket blocks + 3 ready chains = 11 of a 12-block bound; the
+        // next exact put is 2 over, so the bucket goes and the pool lands
+        // on the bound with its ready chains intact.
+        let mut blocks = Blocks::new(32);
+        let pool = GlobalPool::new(3, 6);
+        for _ in 0..3 {
+            assert!(pool.put_chain(blocks.chain(3)).is_none());
+        }
+        assert!(pool.put_chain(blocks.chain(2)).is_none());
+        let spill = pool.put_chain(blocks.chain(3)).unwrap();
+        assert_eq!(spill.len(), 2);
+        assert_eq!(pool.len(), 12);
+        for _ in 0..4 {
+            let c = pool.get_chain().unwrap();
+            assert_eq!(c.len(), 3);
+            discard(c);
+        }
+        discard(spill);
+    }
+
+    #[test]
     fn get_chain_tops_up_short_chains_from_the_bucket() {
-        // Regression: a sub-`target` chain in the pool used to be handed
-        // back as-is even when the bucket held more blocks, breaking the
-        // "one global access per `target` operations" hysteresis. A
-        // wrong-sized put routes through the bucket, which regroups into
-        // exact `target`-sized stack chains whenever it holds enough.
+        // A wrong-sized put routes through the bucket, which regroups
+        // into exact `target`-sized chains whenever it holds enough.
         let mut blocks = Blocks::new(32);
         let pool = GlobalPool::new(4, 8);
-        pool.put_chain(blocks.chain(2)); // misuse: short "exact" put
-        pool.put_odd(blocks.chain(3));
+        pool.put_chain(blocks.chain(2));
+        pool.put_chain(blocks.chain(3));
         assert_eq!(pool.len(), 5);
         let first = pool.get_chain().unwrap();
         assert_eq!(first.len(), 4, "get must be topped up to target");
@@ -991,23 +556,20 @@ mod tests {
         let mut blocks = Blocks::new(32);
         let pool = GlobalPool::new(3, 8);
         pool.put_chain(blocks.chain(3));
-        pool.put_odd(blocks.chain(2));
+        pool.put_chain(blocks.chain(2));
         discard(pool.get_chain().unwrap()); // ready chain first
         discard(pool.get_chain().unwrap()); // then the bucket
         assert!(pool.get_chain().is_none());
         let s = pool.stats();
-        assert_eq!(s.get(), 3);
-        assert_eq!(s.get_chain_hits(), 1);
+        assert_eq!(s.get.get(), 3);
+        assert_eq!(s.get_chain_hits.get(), 1);
         assert_eq!(s.get_bucket_hits.get(), 1);
         assert_eq!(s.get_miss.get(), 1);
-        assert_eq!(s.put(), 2);
+        assert_eq!(s.get_slow.get(), 2, "bucket hit and miss");
+        assert_eq!(s.put.get(), 2);
         assert_eq!(s.put_odd.get(), 1);
-        // Fast/slow partition: the ready-chain pop was lock-free; the
-        // bucket hit and the miss took the slow path.
-        assert_eq!(s.get_fast.get(), 1);
-        assert_eq!(s.get_slow.get(), 2);
-        assert_eq!(s.put_fast.get(), 1);
         assert_eq!(s.put_slow.get(), 1);
+        assert_eq!(pool.lock_contended(), 0, "single thread never contends");
     }
 
     #[test]
@@ -1018,7 +580,6 @@ mod tests {
         for _ in 0..4 {
             assert!(pool.put_chain(blocks.chain(3)).is_none());
         }
-        assert_eq!(pool.len(), 12);
         // Already within `2 * gbltarget`: nothing to shed at that bound.
         assert!(pool.spill_to(12).is_none());
         // A pressure spill down to `gbltarget` sheds exactly 6 blocks and
@@ -1030,7 +591,12 @@ mod tests {
         assert_eq!(s.put_miss.get(), 0);
         assert_eq!(s.pressure_spills.get(), 1);
         assert_eq!(s.spill_blocks.get(), 6);
+        // An odd bound splits a ready chain; the remainder stays put.
+        let spill2 = pool.spill_to(4).unwrap();
+        assert_eq!(spill2.len(), 2);
+        assert_eq!(pool.len(), 4);
         discard(spill);
+        discard(spill2);
         discard(pool.drain_all());
     }
 
@@ -1040,7 +606,7 @@ mod tests {
         // target 10, gbltarget 3: capacity 6, and 8 odd blocks are too few
         // to regroup into a chain — the bucket itself must be trimmed.
         let pool = GlobalPool::new(10, 3);
-        let spill = pool.put_odd(blocks.chain(8)).unwrap();
+        let spill = pool.put_chain(blocks.chain(8)).unwrap();
         assert_eq!(spill.len(), 2);
         assert_eq!(pool.len(), 6);
         discard(spill);
@@ -1048,108 +614,58 @@ mod tests {
     }
 
     #[test]
-    fn miss_statistics_track_fallthrough() {
-        let mut blocks = Blocks::new(16);
-        let pool = GlobalPool::new(2, 4);
-        assert!(pool.get_chain().is_none());
-        assert_eq!(pool.stats().get(), 1);
-        assert_eq!(pool.stats().get_miss.get(), 1);
-        pool.put_chain(blocks.chain(2));
-        let c = pool.get_chain().unwrap();
-        assert_eq!(pool.stats().get(), 2);
-        assert_eq!(pool.stats().get_miss.get(), 1);
-        discard(c);
-    }
-
-    #[test]
     fn drain_all_empties_everything() {
         let mut blocks = Blocks::new(32);
         let pool = GlobalPool::new(3, 10);
         pool.put_chain(blocks.chain(3));
-        pool.put_odd(blocks.chain(2));
+        pool.put_chain(blocks.chain(2));
         assert_eq!(discard(pool.drain_all()), 5);
         assert!(pool.is_empty());
     }
 
-    /// The acceptance-criterion probe test: an exact-`target` ping-pong
-    /// must acquire no spinlock — the whole hot path is the tag CAS.
+    /// The pool's cost, pinned by probes: an exact-`target` get and an
+    /// in-bound put each take the pool lock once and make no shared-line
+    /// RMW outside it (the counters are single-writer stores).
     #[test]
-    fn exact_target_ping_pong_takes_no_spinlock() {
+    fn exact_chain_get_and_put_take_one_lock_and_no_rmw() {
         let mut blocks = Blocks::new(16);
         let pool = GlobalPool::new(4, 16);
         pool.put_chain(blocks.chain(4));
-        let ((), ev) = probe::record(|| {
-            for _ in 0..100 {
-                let c = pool.get_chain().unwrap();
-                assert!(pool.put_chain(c).is_none());
-            }
-        });
-        assert!(
-            ev.iter().all(|e| !matches!(
-                e,
-                ProbeEvent::LockAcquire { .. } | ProbeEvent::LockRelease { .. }
-            )),
-            "fast path acquired a lock: {ev:?}"
-        );
-        // The CAS traffic itself is visible to the simulator.
-        assert!(ev.iter().any(|e| matches!(e, ProbeEvent::LineRmw { .. })));
+        let is_lock_pair = |ev: &[ProbeEvent]| {
+            ev.len() == 2
+                && matches!(ev[0], ProbeEvent::LockAcquire { .. })
+                && matches!(ev[1], ProbeEvent::LockRelease { .. })
+        };
+        let (c, ev) = probe::record(|| pool.get_chain().unwrap());
+        assert_eq!(c.len(), 4);
+        assert!(is_lock_pair(&ev), "get_chain probes: {ev:?}");
+        let (spill, ev) = probe::record(|| pool.put_chain(c));
+        assert!(spill.is_none());
+        assert!(is_lock_pair(&ev), "put_chain probes: {ev:?}");
         let s = pool.stats();
-        assert_eq!(s.get_fast.get(), 100);
+        assert_eq!(s.get_chain_hits.get(), 1);
         assert_eq!(s.get_slow.get(), 0);
-        assert_eq!(s.put_fast.get(), 101);
         assert_eq!(s.put_slow.get(), 0);
-        assert_eq!(s.cas_retries.get(), 0, "single thread never retries");
         discard(pool.drain_all());
     }
 
-    /// Fast/slow totals partition `get`/`put` exactly at quiescence.
+    /// An armed `global.get` failpoint preempts a get whether a ready
+    /// chain or only the bucket could have served it.
     #[test]
-    fn fast_slow_counters_partition_totals() {
-        let mut blocks = Blocks::new(64);
-        let pool = GlobalPool::new(3, 6);
-        for _ in 0..5 {
-            // The 5th put exceeds the 12-block bound and goes slow.
-            if let Some(sp) = pool.put_chain(blocks.chain(3)) {
-                discard(sp);
-            }
-        }
-        if let Some(sp) = pool.put_odd(blocks.chain(2)) {
-            discard(sp);
-        }
-        while let Some(c) = pool.get_chain() {
-            discard(c);
-        }
-        let s = pool.stats();
-        assert_eq!(s.get_fast.get() + s.get_slow.get(), s.get());
-        assert_eq!(s.put_fast.get() + s.put_slow.get(), s.put());
-        assert_eq!(s.put_fast.get(), 4);
-        assert_eq!(s.put_slow.get(), 2);
-        discard(pool.drain_all());
-    }
-
-    /// An armed `global.get` failpoint must preempt *both* paths: the
-    /// CAS fast path (ready chains on the stack) and the locked slow
-    /// path (blocks only in the bucket).
-    #[test]
-    fn global_get_fault_covers_fast_and_slow_paths() {
+    fn global_get_fault_preempts_every_get() {
         let mut blocks = Blocks::new(32);
         let faults = Faults::with_plan();
-        let pool = GlobalPool::new_with_faults(3, 8, faults.clone());
-        pool.put_chain(blocks.chain(3)); // fast-path ammunition
-        pool.put_odd(blocks.chain(2)); // slow-path ammunition
+        let pool = GlobalPool::new(3, 8).with_faults(faults.clone());
+        pool.put_chain(blocks.chain(3));
+        pool.put_chain(blocks.chain(2));
 
         let plan = faults.plan().unwrap();
         plan.set(faults::GLOBAL_GET, FailPolicy::EveryNth(1));
-        // Stack non-empty, yet the armed site forces a miss before the CAS.
-        assert!(pool.get_chain().is_none(), "fast path bypassed the site");
+        assert!(pool.get_chain().is_none(), "ready chain bypassed the site");
         plan.set(faults::GLOBAL_GET, FailPolicy::Off);
-        discard(pool.get_chain().unwrap()); // stack drains normally
-
-        // Now only the bucket holds blocks: fire on the slow path. The
-        // script passes the entry consult and fires the locked one.
-        plan.set(faults::GLOBAL_GET, FailPolicy::Script(vec![false, true]));
-        assert!(pool.get_chain().is_none(), "slow path bypassed the site");
-        assert_eq!(pool.stats().get_miss.get(), 1);
+        discard(pool.get_chain().unwrap());
+        plan.set(faults::GLOBAL_GET, FailPolicy::EveryNth(1));
+        assert!(pool.get_chain().is_none(), "bucket bypassed the site");
         assert_eq!(pool.len(), 2, "faulted gets must not lose blocks");
         let fired = plan
             .site_stats()
@@ -1157,12 +673,13 @@ mod tests {
             .find(|s| s.site == faults::GLOBAL_GET)
             .unwrap()
             .fired;
-        assert_eq!(fired, 2, "one firing per path");
+        assert_eq!(fired, 2);
+        plan.set(faults::GLOBAL_GET, FailPolicy::Off);
         discard(pool.drain_all());
     }
 
     /// 16-aligned backing store for hardened-key tests (plausibility
-    /// checks reject unaligned link targets).
+    /// checks reject unaligned link targets) and for word-sized scribbles.
     #[repr(align(16))]
     struct Aligned([u8; 32]);
 
@@ -1191,24 +708,27 @@ mod tests {
 
     #[test]
     fn hardened_pool_round_trips_encoded_chains() {
-        // The Treiber stack's word-stash layout must decode/re-encode
-        // correctly under a hardened key: chains survive push/pop (and
-        // steal_chain, the cross-shard path) with members and tail intact.
+        // Ready chains, steals and bucket regroups all keep the keyed
+        // link encoding intact.
         let (mut store, key) = aligned_store(16);
-        let pool = GlobalPool::new_hardened(3, 12, Faults::none(), key);
+        let pool = GlobalPool::new(3, 12).with_key(key);
         let c = keyed_chain(&mut store, key, 0..3);
         let members: Vec<*mut u8> = c.iter().collect();
         assert!(pool.put_chain(c).is_none());
         assert!(pool.put_chain(keyed_chain(&mut store, key, 3..6)).is_none());
-        // Stack depth 2: the deeper chain's stash words round-trip too.
+        assert!(pool.put_chain(keyed_chain(&mut store, key, 6..8)).is_none());
+        assert!(pool.put_chain(keyed_chain(&mut store, key, 8..9)).is_none());
+        let regrouped = pool.steal_chain().unwrap();
+        assert_eq!(regrouped.len(), 3);
         let stolen = pool.steal_chain().unwrap();
         assert_eq!(stolen.len(), 3);
         let mut got = pool.get_chain().unwrap();
         assert_eq!(got.iter().collect::<Vec<_>>(), members);
-        // Tail survived the stash round trip: append still works.
-        let mut more = keyed_chain(&mut store, key, 6..7);
+        let mut more = keyed_chain(&mut store, key, 9..10);
         got.append(&mut more);
         assert_eq!(got.len(), 4);
+        assert!(pool.steal_chain().is_none(), "steals never take the bucket");
+        discard(regrouped);
         discard(stolen);
         discard(got);
     }
@@ -1216,10 +736,10 @@ mod tests {
     #[test]
     fn hardened_bucket_corruption_is_sunk_not_dereferenced() {
         let (mut store, key) = aligned_store(8);
-        let pool = GlobalPool::new_hardened(4, 8, Faults::none(), key);
+        let pool = GlobalPool::new(4, 8).with_key(key);
         let chain = keyed_chain(&mut store, key, 0..3);
         let head = chain.peek().unwrap();
-        assert!(pool.put_odd(chain).is_none());
+        assert!(pool.put_chain(chain).is_none());
         // Scribble the bucket head's encoded link (a use-after-free).
         // SAFETY: the fake block is owned by the test.
         unsafe { (head as *mut usize).write(0x4141_4141_4141_4141_u64 as usize) };
@@ -1239,172 +759,73 @@ mod tests {
         for _ in 0..20 {
             pool.put_chain(blocks.chain(4));
         }
-        let spilled = EventCounter::new();
+        let spilled = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..200 {
-                        if let Some(c) = pool.get_chain() {
-                            if let Some(sp) = pool.put_odd(c) {
-                                spilled.add(discard(sp) as u64);
+                        if let Some(mut c) = pool.get_chain() {
+                            // Odd scraps through the bucket, exact chains
+                            // straight back.
+                            let cut = c.split_first(1);
+                            for part in [cut, c] {
+                                if let Some(sp) = pool.put_chain(part) {
+                                    spilled.fetch_add(discard(sp), Ordering::Relaxed);
+                                }
                             }
                         }
                     }
                 });
             }
         });
-        assert_eq!(pool.len() + spilled.get() as usize, 80);
+        assert_eq!(pool.len() + spilled.load(Ordering::Relaxed), 80);
         discard(pool.drain_all());
     }
 
-    /// The acceptance-criterion probe test for the epoch-batched drain:
-    /// a bulk drain of N chains costs the same number of shared-line
-    /// RMWs whether N is 4 or 64 — one tagged CAS detaches the whole run
-    /// and one RMW settles the slow-path account, unlike the old
-    /// one-CAS-per-chain pop loop.
+    /// The pool must never read a block it does not hold. Users scribble
+    /// `u64::MAX` over word 0 of every block they hold and keep it a
+    /// while before rebuilding the chain; a pool that loads the link word
+    /// of a chain head another CPU already took (a speculative lock-free
+    /// pop does) reads the scribble and trips the tagged-pointer
+    /// assertion in debug builds.
     #[test]
-    fn batched_drain_moves_n_chains_with_constant_rmw_cost() {
-        let rmws_for = |chains: usize| {
-            let mut blocks = Blocks::new(chains * 2);
-            let pool = GlobalPool::new(2, 2 * chains);
-            for _ in 0..chains {
-                assert!(pool.put_chain(blocks.chain(2)).is_none());
-            }
-            let (all, ev) = probe::record(|| pool.drain_all());
-            assert_eq!(discard(all), chains * 2, "batched drain conserves");
-            assert_eq!(pool.stats().batch_drains.get(), 1);
-            assert_eq!(pool.stats().batched_chains.get(), chains as u64);
-            ev.iter()
-                .filter(|e| matches!(e, ProbeEvent::LineRmw { .. }))
-                .count()
-        };
-        let small = rmws_for(4);
-        let large = rmws_for(64);
-        assert_eq!(
-            small, large,
-            "drain RMW cost must not scale with chain count"
-        );
-    }
-
-    #[test]
-    fn deferred_exact_puts_push_wait_free_and_flag_the_trim() {
-        let mut blocks = Blocks::new(64);
-        // target 3, gbltarget 6: bound 12 = 4 chains.
-        let pool = GlobalPool::new(3, 6);
-        for _ in 0..4 {
-            assert!(
-                !pool.put_chain_deferred(blocks.chain(3)),
-                "within bound: no maintenance requested"
-            );
+    fn scribbled_blocks_in_user_hands_never_reach_the_pool() {
+        const TARGET: usize = 4;
+        const ROUNDS: usize = 200_000;
+        let (mut store, _) = aligned_store(2 * TARGET);
+        let pool = GlobalPool::new(TARGET, 2 * TARGET);
+        for i in 0..2 {
+            let c = keyed_chain(&mut store, LinkKey::PLAIN, i * TARGET..(i + 1) * TARGET);
+            assert!(pool.put_chain(c).is_none());
         }
-        assert_eq!(pool.len(), 12);
-        // Over the bound: the put still lands wait-free (no spinlock),
-        // the pool transiently overshoots, and the caller is told to
-        // post a Trim to the maintenance core.
-        let (over, ev) = probe::record(|| pool.put_chain_deferred(blocks.chain(3)));
-        assert!(over, "over-bound deferred put must request maintenance");
-        assert!(
-            ev.iter().all(|e| !matches!(
-                e,
-                ProbeEvent::LockAcquire { .. } | ProbeEvent::LockRelease { .. }
-            )),
-            "deferred put took a lock: {ev:?}"
-        );
-        assert_eq!(pool.len(), 15, "trim is deferred, not inline");
-        // The maintenance core's trim restores the bound with `put_miss`
-        // attribution, exactly like the inline slow path would have.
-        let spill = pool.maint_trim().unwrap();
-        assert_eq!(spill.len(), 3);
-        assert_eq!(pool.len(), 12);
-        let s = pool.stats();
-        assert_eq!(s.put_fast.get(), 5, "deferred puts count as fast pushes");
-        assert_eq!(s.put_miss.get(), 1);
-        assert_eq!(s.spill_blocks.get(), 3);
-        assert!(pool.maint_trim().is_none(), "second trim finds nothing");
-        discard(spill);
-        discard(pool.drain_all());
-    }
-
-    #[test]
-    fn deferred_odd_puts_append_and_regroup_at_the_pump() {
-        let mut blocks = Blocks::new(32);
-        let pool = GlobalPool::new(3, 8);
-        assert!(pool.put_odd_deferred(blocks.chain(2)));
-        assert!(pool.put_odd_deferred(blocks.chain(2)));
-        assert_eq!(pool.stats().put_odd.get(), 2);
-        assert_eq!(pool.len(), 4);
-        assert!(pool.maint_regroup().is_none());
-        // One exact chain regrouped onto the lock-free stack.
-        let c = pool.get_chain().unwrap();
-        assert_eq!(c.len(), 3);
-        assert_eq!(
-            pool.stats().get_fast.get(),
-            1,
-            "regrouped chain is served lock-free"
-        );
-        discard(c);
-        discard(pool.drain_all());
-    }
-
-    #[test]
-    fn maint_spill_trims_batched_with_pressure_attribution() {
-        let mut blocks = Blocks::new(64);
-        let pool = GlobalPool::new(3, 6);
-        for _ in 0..4 {
-            assert!(pool.put_chain(blocks.chain(3)).is_none());
-        }
-        assert!(pool.maint_spill(12).is_none(), "already within the bound");
-        let spill = pool.maint_spill(6).unwrap();
-        assert_eq!(spill.len(), 6);
-        assert_eq!(pool.len(), 6);
-        let s = pool.stats();
-        assert_eq!(s.pressure_spills.get(), 1);
-        assert_eq!(s.put_miss.get(), 0);
-        discard(spill);
-        discard(pool.drain_all());
-    }
-
-    #[test]
-    fn hardened_batched_drain_decodes_the_whole_run() {
-        let (mut store, key) = aligned_store(9);
-        let pool = GlobalPool::new_hardened(3, 12, Faults::none(), key);
-        for i in 0..3 {
-            let chain = keyed_chain(&mut store, key, i * 3..i * 3 + 3);
-            assert!(pool.put_chain(chain).is_none());
-        }
-        assert_eq!(discard(pool.drain_all()), 9);
-        assert_eq!(pool.stats().batched_chains.get(), 3);
-    }
-
-    /// Exact-chain recycling under real threads: the headline pattern the
-    /// Treiber stack exists for. Conservation plus counter partitions.
-    #[test]
-    fn concurrent_exact_ping_pong_is_conserving_and_lock_free_counted() {
-        const THREADS: usize = 4;
-        const OPS: usize = 500;
-        let pool = GlobalPool::new(4, 4 * THREADS * 2);
-        let mut blocks = Blocks::new(4 * THREADS * 2);
-        for _ in 0..THREADS * 2 {
-            pool.put_chain(blocks.chain(4));
-        }
-        let total = pool.len();
         std::thread::scope(|s| {
-            for _ in 0..THREADS {
+            for _ in 0..2 {
                 s.spawn(|| {
-                    for _ in 0..OPS {
-                        if let Some(c) = pool.get_chain() {
-                            assert_eq!(c.len(), 4, "stack chains are exact");
-                            assert!(pool.put_chain(c).is_none());
+                    let mut held = Vec::with_capacity(TARGET);
+                    for _ in 0..ROUNDS {
+                        let Some(mut c) = pool.get_chain() else {
+                            continue;
+                        };
+                        assert_eq!(c.len(), TARGET);
+                        while let Some(b) = c.pop() {
+                            // SAFETY: the popped block is ours, 16-aligned
+                            // and 32 bytes long.
+                            unsafe { (b as *mut u64).write_volatile(u64::MAX) };
+                            for _ in 0..50 {
+                                core::hint::spin_loop();
+                            }
+                            held.push(b);
                         }
+                        for b in held.drain(..) {
+                            // SAFETY: every held block is ours again.
+                            unsafe { c.push(b) };
+                        }
+                        assert!(pool.put_chain(c).is_none());
                     }
                 });
             }
         });
-        assert_eq!(pool.len(), total);
-        let s = pool.stats();
-        assert_eq!(s.get_fast.get() + s.get_slow.get(), s.get());
-        assert_eq!(s.put_fast.get() + s.put_slow.get(), s.put());
-        assert!(s.put_fast.get() > 0);
-        discard(pool.drain_all());
+        assert_eq!(pool.len(), 2 * TARGET);
+        assert_eq!(discard(pool.drain_all()), 2 * TARGET);
     }
 }

@@ -10,12 +10,10 @@
 //!    with a *split freelist* (`main`/`aux`, each bounded by `target`).
 //!    No locks; the only "synchronization" is the non-reentrancy that
 //!    interrupt disabling provides in a kernel.
-//! 2. **Global layer** ([`global`]) — per size class, ready `target`-sized
-//!    chains kept on a lock-free Treiber stack (get = one tag-CAS pop,
-//!    put = one tag-CAS push), plus a spinlocked bucket list that regroups
-//!    odd chains; bounded by `2 * gbltarget` blocks, enforced exactly on
-//!    the slow path and approximately (per-CPU transient overshoot) on the
-//!    fast path.
+//! 2. **Global layer** ([`global`]) — per size class, a short-hold
+//!    spinlock around a list of ready `target`-sized chains (get = pop one
+//!    chain, put = push one chain) and a bucket list that regroups odd
+//!    chains; exactly bounded by `2 * gbltarget` blocks.
 //! 3. **Coalesce-to-page layer** ([`pagelayer`]) — per-page freelists and
 //!    free counts; pages radix-sorted by free count so the fullest pages
 //!    are allocated from first; a fully free page returns its physical
@@ -64,7 +62,6 @@ pub mod config;
 pub mod cookie;
 pub mod error;
 pub mod global;
-pub mod maint;
 pub mod object;
 pub mod pagedesc;
 pub mod pagelayer;
@@ -76,16 +73,15 @@ pub mod stats;
 pub mod verify;
 pub mod vmblklayer;
 
-pub use arena::{CpuHandle, KmemArena, MaintPump};
-pub use config::{ClassConfig, HardenedConfig, KmemConfig, MaintConfig};
+pub use arena::{CpuHandle, KmemArena};
+pub use config::{ClassConfig, HardenedConfig, KmemConfig};
 pub use cookie::Cookie;
 pub use error::{AllocError, CorruptionSite, KmemError};
 pub use kmem_smp::{faults, FailPolicy, FaultPlan, Faults};
-pub use maint::{MaintKeys, MaintWork};
 pub use object::{KBox, Obj, ObjectCache};
 pub use pressure::PressureConfig;
 pub use snapshot::{
-    CacheCounts, ClassSnapshot, GlobalCounts, KmemSnapshot, MaintCounts, NodeCounts, PageCounts,
+    CacheCounts, ClassSnapshot, GlobalCounts, KmemSnapshot, NodeCounts, PageCounts,
 };
 pub use stats::{ClassStats, KmemStats, LayerCounts};
 

@@ -354,8 +354,7 @@ impl Iterator for PdListIter {
 }
 
 /// A lock-free Treiber stack of page descriptors, linked through
-/// [`PageDesc::anext`] under a generation-tagged head — the page-descriptor
-/// analogue of the global layer's chain stack.
+/// [`PageDesc::anext`] under a generation-tagged head.
 ///
 /// Used for the per-class radix buckets (lazy positions: a listed page's
 /// true free count may exceed its bucket; poppers repair by relisting) and

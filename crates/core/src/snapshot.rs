@@ -27,7 +27,7 @@
 
 use crate::percpu::{CacheStats, OCC_BUCKETS};
 use crate::stats::{ClassStats, KmemStats, LayerCounts};
-use crate::{global::GlobalStats, pagelayer::PageLayerStats};
+use crate::{global::GlobalPool, pagelayer::PageLayerStats};
 
 /// Counters of one (CPU, size-class) cache, as captured by a snapshot.
 ///
@@ -247,18 +247,19 @@ impl CacheCounts {
 }
 
 /// Global-pool per-event detail for one class.
+///
+/// Every get and put takes the pool lock exactly once; the fields below
+/// say what happened under it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GlobalCounts {
-    /// Chain requests (hits and misses); derived as
-    /// `get_fast + get_slow` from the same sweep.
+    /// Chain requests (hits and misses).
     pub get: u64,
-    /// Gets served entirely by the lock-free CAS pop.
-    pub get_fast: u64,
-    /// Gets that took the locked slow path.
+    /// Gets *not* served by a ready `target`-sized chain: bucket serves
+    /// plus misses. At quiescence `get_slow == get - get_chain_hits`.
     pub get_slow: u64,
-    /// Gets first served from a ready `target`-sized chain.
+    /// Gets served by a ready `target`-sized chain (steals included).
     pub get_chain_hits: u64,
-    /// Gets first served from the bucket list.
+    /// Gets served from the bucket list.
     pub get_bucket_hits: u64,
     /// Gets that returned fewer than `target` blocks.
     pub get_short: u64,
@@ -266,12 +267,11 @@ pub struct GlobalCounts {
     pub get_short_deficit: u64,
     /// Gets that fell through to the coalesce-to-page layer.
     pub get_miss: u64,
-    /// Chains returned by per-CPU caches; derived as
-    /// `put_fast + put_slow` from the same sweep.
+    /// Chains returned by per-CPU caches.
     pub put: u64,
-    /// Exact-`target` puts served entirely by the lock-free CAS push.
-    pub put_fast: u64,
-    /// Puts that took the locked slow path.
+    /// Puts that went through the bucket list (odd-sized chains) or
+    /// spilled past the `2 * gbltarget` bound; the rest joined the ready
+    /// chains in O(1).
     pub put_slow: u64,
     /// Puts through the odd-sized bucket path.
     pub put_odd: u64,
@@ -282,8 +282,10 @@ pub struct GlobalCounts {
     pub pressure_spills: u64,
     /// Blocks spilled to the coalesce-to-page layer (all causes).
     pub spill_blocks: u64,
-    /// Failed tag-CAS attempts on the lock-free chain stack (monotone;
-    /// zero without contention).
+    /// Pool-lock acquisitions that found the lock held
+    /// (`SpinStats::contended`; monotone, zero without contention). The
+    /// name predates the spinlocked pool and is kept for the snapshot's
+    /// readers.
     pub cas_retries: u64,
 }
 
@@ -291,9 +293,9 @@ impl GlobalCounts {
     /// Sweeps one class's shards (one per node) into a single merged view,
     /// so per-class global counters keep their pre-NUMA meaning. Each
     /// shard is swept with the order guarantees of [`GlobalCounts::read`],
-    /// and every derived partition (`get = get_fast + get_slow`, …) is a
-    /// sum of per-shard equalities, so it survives the merge.
-    pub(crate) fn read_merged<'a>(shards: impl Iterator<Item = &'a GlobalStats>) -> GlobalCounts {
+    /// and every partition is a sum of per-shard equalities, so it
+    /// survives the merge.
+    pub(crate) fn read_merged<'a>(shards: impl Iterator<Item = &'a GlobalPool>) -> GlobalCounts {
         let mut total = GlobalCounts::default();
         for s in shards {
             total.merge(&GlobalCounts::read(s));
@@ -304,7 +306,6 @@ impl GlobalCounts {
     /// Field-wise accumulation (summing shards or classes).
     pub fn merge(&mut self, other: &GlobalCounts) {
         self.get += other.get;
-        self.get_fast += other.get_fast;
         self.get_slow += other.get_slow;
         self.get_chain_hits += other.get_chain_hits;
         self.get_bucket_hits += other.get_bucket_hits;
@@ -312,7 +313,6 @@ impl GlobalCounts {
         self.get_short_deficit += other.get_short_deficit;
         self.get_miss += other.get_miss;
         self.put += other.put;
-        self.put_fast += other.put_fast;
         self.put_slow += other.put_slow;
         self.put_odd += other.put_odd;
         self.put_miss += other.put_miss;
@@ -321,39 +321,33 @@ impl GlobalCounts {
         self.cas_retries += other.cas_retries;
     }
 
-    pub(crate) fn read(s: &GlobalStats) -> GlobalCounts {
-        // Slow-path outcome details before the slow-entry counters that
-        // bound them (reverse of the writers' order), as for
-        // `CacheCounts::read`. The totals (`get`, `put`,
-        // `get_chain_hits`) are then *derived* from this single sweep —
-        // the pool keeps no total counters, so the lock-free fast path
-        // pays one RMW per operation — which makes the fast/slow
-        // partition an equality even on live samples.
-        let cas_retries = s.cas_retries.get();
+    pub(crate) fn read(pool: &GlobalPool) -> GlobalCounts {
+        // Outcome details before the totals that bound them (reverse of
+        // the lock holders' write order), as for `CacheCounts::read`.
+        let s = pool.stats();
+        let cas_retries = pool.lock_contended();
         let spill_blocks = s.spill_blocks.get();
         let pressure_spills = s.pressure_spills.get();
         let put_miss = s.put_miss.get();
         let put_odd = s.put_odd.get();
         let put_slow = s.put_slow.get();
-        let put_fast = s.put_fast.get();
+        let put = s.put.get();
         let get_miss = s.get_miss.get();
         let get_short = s.get_short.get();
         let get_short_deficit = s.get_short_deficit.get();
-        let get_chain_hits_slow = s.get_chain_hits_slow.get();
         let get_bucket_hits = s.get_bucket_hits.get();
         let get_slow = s.get_slow.get();
-        let get_fast = s.get_fast.get();
+        let get_chain_hits = s.get_chain_hits.get();
+        let get = s.get.get();
         GlobalCounts {
-            get: get_fast + get_slow,
-            get_fast,
+            get,
             get_slow,
-            get_chain_hits: get_fast + get_chain_hits_slow,
+            get_chain_hits,
             get_bucket_hits,
             get_short,
             get_short_deficit,
             get_miss,
-            put: put_fast + put_slow,
-            put_fast,
+            put,
             put_slow,
             put_odd,
             put_miss,
@@ -367,7 +361,6 @@ impl GlobalCounts {
     pub fn delta(&self, earlier: &GlobalCounts) -> GlobalCounts {
         GlobalCounts {
             get: self.get.saturating_sub(earlier.get),
-            get_fast: self.get_fast.saturating_sub(earlier.get_fast),
             get_slow: self.get_slow.saturating_sub(earlier.get_slow),
             get_chain_hits: self.get_chain_hits.saturating_sub(earlier.get_chain_hits),
             get_bucket_hits: self.get_bucket_hits.saturating_sub(earlier.get_bucket_hits),
@@ -377,7 +370,6 @@ impl GlobalCounts {
                 .saturating_sub(earlier.get_short_deficit),
             get_miss: self.get_miss.saturating_sub(earlier.get_miss),
             put: self.put.saturating_sub(earlier.put),
-            put_fast: self.put_fast.saturating_sub(earlier.put_fast),
             put_slow: self.put_slow.saturating_sub(earlier.put_slow),
             put_odd: self.put_odd.saturating_sub(earlier.put_odd),
             put_miss: self.put_miss.saturating_sub(earlier.put_miss),
@@ -416,19 +408,20 @@ impl GlobalCounts {
             "get outcomes exceed gets",
         )?;
         c(
-            self.get_fast + self.get_slow <= self.get,
-            "fast/slow gets exceed gets",
+            self.get_chain_hits + self.get_slow <= self.get,
+            "chain hits + slow gets exceed gets",
+        )?;
+        c(
+            self.get_bucket_hits + self.get_miss <= self.get_slow,
+            "bucket hits + misses exceed slow gets",
         )?;
         c(
             self.get_short <= self.get_short_deficit,
             "short gets with no deficit",
         )?;
-        c(self.put_odd <= self.put, "put_odd > put")?;
-        c(
-            self.put_fast + self.put_slow <= self.put,
-            "fast/slow puts exceed puts",
-        )?;
-        c(self.put_miss <= self.put, "put_miss > put")?;
+        c(self.put_slow <= self.put, "put_slow > put")?;
+        c(self.put_odd <= self.put_slow, "put_odd > put_slow")?;
+        c(self.put_miss <= self.put_slow, "put_miss > put_slow")?;
         Ok(())
     }
 
@@ -439,14 +432,9 @@ impl GlobalCounts {
                 "{what}: quiescent get outcomes must partition gets ({self:?})"
             ));
         }
-        if self.get_fast + self.get_slow != self.get {
+        if self.get_chain_hits + self.get_slow != self.get {
             return Err(format!(
-                "{what}: quiescent fast/slow gets must partition gets ({self:?})"
-            ));
-        }
-        if self.put_fast + self.put_slow != self.put {
-            return Err(format!(
-                "{what}: quiescent fast/slow puts must partition puts ({self:?})"
+                "{what}: quiescent chain hits and slow gets must partition gets ({self:?})"
             ));
         }
         Ok(())
@@ -519,47 +507,6 @@ impl PageCounts {
             page_releases: self.page_releases.saturating_sub(earlier.page_releases),
             block_frees: self.block_frees.saturating_sub(earlier.block_frees),
             cas_retries: self.cas_retries.saturating_sub(earlier.cas_retries),
-        }
-    }
-}
-
-/// Maintenance-core counters: mailbox flow plus the epoch-batched drain
-/// totals summed over every global shard. All zeros (with
-/// `enabled: false`) when the arena runs without the core
-/// ([`crate::config::MaintConfig`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintCounts {
-    /// Whether the arena was built with the maintenance core enabled.
-    pub enabled: bool,
-    /// Work-item post attempts, including deduplicated ones.
-    pub posted: u64,
-    /// Posts suppressed because the same key was already queued.
-    pub deduped: u64,
-    /// Work items drained and run by the maintenance core. At quiescence
-    /// (mailbox empty, no poster mid-call) `drained == posted - deduped`.
-    pub drained: u64,
-    /// Work items currently queued (gauge; `delta` keeps the later
-    /// value; racy while posters are active).
-    pub backlog: usize,
-    /// Epoch-batched stack detaches across all global shards — each is
-    /// one tagged CAS, however many chains it moved.
-    pub batch_drains: u64,
-    /// Chains moved by those batched detaches.
-    pub batched_chains: u64,
-}
-
-impl MaintCounts {
-    /// Events between `earlier` and `self`; gauges and the enabled flag
-    /// keep the later (`self`) values.
-    pub fn delta(&self, earlier: &MaintCounts) -> MaintCounts {
-        MaintCounts {
-            enabled: self.enabled,
-            posted: self.posted.saturating_sub(earlier.posted),
-            deduped: self.deduped.saturating_sub(earlier.deduped),
-            drained: self.drained.saturating_sub(earlier.drained),
-            backlog: self.backlog,
-            batch_drains: self.batch_drains.saturating_sub(earlier.batch_drains),
-            batched_chains: self.batched_chains.saturating_sub(earlier.batched_chains),
         }
     }
 }
@@ -665,8 +612,6 @@ pub struct KmemSnapshot {
     /// Blocks currently parked in double-free quarantine rings (gauge;
     /// `delta` keeps the later value).
     pub quarantine_len: usize,
-    /// Maintenance-core mailbox and batched-drain counters.
-    pub maint: MaintCounts,
 }
 
 impl KmemSnapshot {
@@ -764,7 +709,6 @@ impl KmemSnapshot {
             poison_hits: self.poison_hits.saturating_sub(earlier.poison_hits),
             encode_faults: self.encode_faults.saturating_sub(earlier.encode_faults),
             quarantine_len: self.quarantine_len,
-            maint: self.maint.delta(&earlier.maint),
         }
     }
 
@@ -875,13 +819,12 @@ impl KmemSnapshot {
             let g = &cs.global;
             let _ = write!(
                 out,
-                "],\"global\":{{\"get\":{},\"get_fast\":{},\"get_slow\":{},\
+                "],\"global\":{{\"get\":{},\"get_slow\":{},\
                  \"get_chain_hits\":{},\"get_bucket_hits\":{},\
                  \"get_short\":{},\"get_short_deficit\":{},\"get_miss\":{},\"put\":{},\
-                 \"put_fast\":{},\"put_slow\":{},\"put_odd\":{},\"put_miss\":{},\
+                 \"put_slow\":{},\"put_odd\":{},\"put_miss\":{},\
                  \"pressure_spills\":{},\"spill_blocks\":{},\"cas_retries\":{}}}",
                 g.get,
-                g.get_fast,
                 g.get_slow,
                 g.get_chain_hits,
                 g.get_bucket_hits,
@@ -889,7 +832,6 @@ impl KmemSnapshot {
                 g.get_short_deficit,
                 g.get_miss,
                 g.put,
-                g.put_fast,
                 g.put_slow,
                 g.put_odd,
                 g.put_miss,
@@ -936,8 +878,7 @@ impl KmemSnapshot {
             out,
             ",\"deescalations\":{},\"reapplied\":{}}},\"faults\":{{\"hits\":{},\"fired\":{}}},\
              \"hardened\":{{\"corruption_reports\":{},\"poison_hits\":{},\"encode_faults\":{},\
-             \"quarantine_len\":{}}},\"maint\":{{\"enabled\":{},\"posted\":{},\"deduped\":{},\
-             \"drained\":{},\"backlog\":{},\"batch_drains\":{},\"batched_chains\":{}}}}}",
+             \"quarantine_len\":{}}}}}",
             self.pressure_deescalations,
             self.pressure_reapplied,
             self.fault_hits,
@@ -946,13 +887,6 @@ impl KmemSnapshot {
             self.poison_hits,
             self.encode_faults,
             self.quarantine_len,
-            self.maint.enabled,
-            self.maint.posted,
-            self.maint.deduped,
-            self.maint.drained,
-            self.maint.backlog,
-            self.maint.batch_drains,
-            self.maint.batched_chains,
         );
         out
     }
@@ -1023,7 +957,6 @@ impl KmemSnapshot {
             }
             let w = |f: &str| format!("class {class} global {f}");
             mono(w("get"), now.global.get, then.global.get)?;
-            mono(w("get_fast"), now.global.get_fast, then.global.get_fast)?;
             mono(w("get_slow"), now.global.get_slow, then.global.get_slow)?;
             mono(
                 w("get_chain_hits"),
@@ -1043,7 +976,6 @@ impl KmemSnapshot {
             )?;
             mono(w("get_miss"), now.global.get_miss, then.global.get_miss)?;
             mono(w("put"), now.global.put, then.global.put)?;
-            mono(w("put_fast"), now.global.put_fast, then.global.put_fast)?;
             mono(w("put_slow"), now.global.put_slow, then.global.put_slow)?;
             mono(w("put_odd"), now.global.put_odd, then.global.put_odd)?;
             mono(w("put_miss"), now.global.put_miss, then.global.put_miss)?;
@@ -1136,31 +1068,6 @@ impl KmemSnapshot {
             self.encode_faults,
             earlier.encode_faults,
         )?;
-        mono(
-            "maint posted".into(),
-            self.maint.posted,
-            earlier.maint.posted,
-        )?;
-        mono(
-            "maint deduped".into(),
-            self.maint.deduped,
-            earlier.maint.deduped,
-        )?;
-        mono(
-            "maint drained".into(),
-            self.maint.drained,
-            earlier.maint.drained,
-        )?;
-        mono(
-            "maint batch_drains".into(),
-            self.maint.batch_drains,
-            earlier.maint.batch_drains,
-        )?;
-        mono(
-            "maint batched_chains".into(),
-            self.maint.batched_chains,
-            earlier.maint.batched_chains,
-        )?;
         Ok(())
     }
 }
@@ -1208,7 +1115,6 @@ mod tests {
             poison_hits: 0,
             encode_faults: 0,
             quarantine_len: 0,
-            maint: MaintCounts::default(),
         }
     }
 
@@ -1307,13 +1213,9 @@ mod tests {
             "\"nodes\":[{\"shard_blocks\":0,\"local_refills\":0,\
              \"stolen_refills\":0,\"remote_spills\":0}]"
         ));
-        assert!(json.contains(
-            "\"maint\":{\"enabled\":false,\"posted\":0,\"deduped\":0,\"drained\":0,\
-             \"backlog\":0,\"batch_drains\":0,\"batched_chains\":0}"
-        ));
         assert!(json.contains("\"sleep_retries\":0"));
         assert!(json.contains("\"pressure_spills\":0"));
-        assert!(json.contains("\"get_fast\":0"));
+        assert!(json.contains("\"get_slow\":0"));
         assert!(json.contains("\"put_slow\":0"));
         assert!(json.contains("\"cas_retries\":0"));
         // No pretty-printing: a single machine-readable line.

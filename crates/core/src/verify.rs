@@ -14,11 +14,8 @@ use crate::arena::KmemArena;
 /// * vmblk layer: spans well formed, fully coalesced, freelists and
 ///   physical-frame accounting exact (see
 ///   [`crate::vmblklayer::VmblkLayer::verify`]);
-/// * global layer: every pool within `2 * gbltarget + ncpus * target`
-///   blocks — the exact bound plus the worst-case transient overshoot of
-///   the lock-free fast path, which checks the cached block count
-///   *before* pushing, so each CPU can land at most one extra in-flight
-///   chain past the bound (DESIGN.md §9);
+/// * global layer: every pool (per-node shard) within its exact
+///   `2 * gbltarget` bound (DESIGN.md §9);
 /// * page layer: every per-page free count matches its freelist length
 ///   and lies within `1..=blocks_per_page` for listed pages (full pages
 ///   may stay listed briefly — a deferred coalesce — but are never
@@ -31,16 +28,12 @@ use crate::arena::KmemArena;
 pub fn verify_arena(arena: &KmemArena) {
     let inner = arena.inner();
     inner.vm().verify();
-    let ncpus = arena.ncpus();
     for pool in inner.globals().iter() {
         let len = pool.len();
-        let bound = 2 * pool.gbltarget() + ncpus * pool.target();
+        let bound = 2 * pool.gbltarget();
         assert!(
             len <= bound,
-            "global pool holds {len} blocks, bound {bound} \
-             (2 * {} + {ncpus} CPUs * {})",
-            pool.gbltarget(),
-            pool.target()
+            "global pool holds {len} blocks, bound 2 * gbltarget = {bound}"
         );
     }
     for (idx, layer) in inner.pages().iter().enumerate() {

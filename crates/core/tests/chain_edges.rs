@@ -138,14 +138,13 @@ fn append_handles_all_empty_combinations() {
     drain(a);
 }
 
-/// An exactly-`target` chain arriving through the *odd* path regroups
-/// instantly into a ready chain — `get_chain` returns it whole instead of
-/// carving the bucket.
+/// An exactly-`target` chain joins the ready chains — `get_chain`
+/// returns it whole instead of carving the bucket.
 #[test]
-fn exactly_target_odd_chain_becomes_a_ready_chain() {
+fn exactly_target_chain_becomes_a_ready_chain() {
     let mut blocks = Blocks::new(16);
     let pool = GlobalPool::new(4, 8);
-    assert!(pool.put_odd(blocks.chain(4)).is_none());
+    assert!(pool.put_chain(blocks.chain(4)).is_none());
     let got = pool.get_chain().unwrap();
     assert_eq!(got.len(), 4);
     assert!(pool.is_empty());
@@ -156,8 +155,8 @@ fn exactly_target_odd_chain_becomes_a_ready_chain() {
 #[test]
 fn empty_odd_chain_is_ignored() {
     let pool = GlobalPool::new(4, 8);
-    assert!(pool.put_odd(Chain::new()).is_none());
-    assert_eq!(pool.stats().put(), 0);
+    assert!(pool.put_chain(Chain::new()).is_none());
+    assert_eq!(pool.stats().put.get(), 0);
     assert!(pool.is_empty());
 }
 
@@ -169,7 +168,7 @@ fn bucket_regroups_any_arrival_pattern() {
         let mut blocks = Blocks::new(8);
         let pool = GlobalPool::new(4, 8);
         for &n in &pattern {
-            assert!(pool.put_odd(blocks.chain(n)).is_none());
+            assert!(pool.put_chain(blocks.chain(n)).is_none());
         }
         let got = pool.get_chain().unwrap();
         assert_eq!(got.len(), 4, "pattern {pattern:?} failed to regroup");

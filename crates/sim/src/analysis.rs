@@ -123,76 +123,6 @@ pub fn freeb_pattern(instr_refs: usize) -> Vec<Ref> {
     v
 }
 
-/// The hot CPU's slow-path involvement with the maintenance core ON:
-/// post one work item to the lock-free mailbox. A single RMW claims a
-/// slot index on the shared ticket line; the slot body and the per-key
-/// dedup bit are plain writes. The global layer's lock word and bucket
-/// lines are never touched — that traffic moves to the maintenance CPU,
-/// off this CPU's critical path.
-pub fn maint_post_pattern(instr_refs: usize) -> Vec<Ref> {
-    let mut v = Vec::new();
-    // Ticket counter: the post's one contended RMW.
-    v.push(Ref {
-        shared: Some(0),
-        kind: AccessKind::Rmw,
-    });
-    // Slot payload + sequence publication, then the pending bit.
-    v.push(Ref {
-        shared: Some(1),
-        kind: AccessKind::Write,
-    });
-    v.push(Ref {
-        shared: Some(2),
-        kind: AccessKind::Write,
-    });
-    for _ in 0..instr_refs {
-        v.push(Ref {
-            shared: None,
-            kind: AccessKind::Read,
-        });
-    }
-    v
-}
-
-/// The same slow-path work done INLINE (core off): take the global
-/// lock, walk the bucket heads, links, and settle counters it protects
-/// — lines the peer CPU wrote the last time *it* drained — and release.
-/// Derived from the structure of the locked trim/regroup walk over four
-/// chains.
-pub fn inline_maint_pattern(instr_refs: usize) -> Vec<Ref> {
-    let mut v = Vec::new();
-    v.push(Ref {
-        shared: Some(0),
-        kind: AccessKind::Rmw,
-    });
-    for chain in 0..4usize {
-        let base = 1 + chain * 3;
-        v.push(Ref {
-            shared: Some(base),
-            kind: AccessKind::Read,
-        });
-        v.push(Ref {
-            shared: Some(base + 1),
-            kind: AccessKind::Write,
-        });
-        v.push(Ref {
-            shared: Some(base + 2),
-            kind: AccessKind::Write,
-        });
-    }
-    v.push(Ref {
-        shared: Some(0),
-        kind: AccessKind::Write,
-    });
-    for _ in 0..instr_refs {
-        v.push(Ref {
-            shared: None,
-            kind: AccessKind::Read,
-        });
-    }
-    v
-}
-
 /// Result of replaying an operation's pattern on one CPU while a peer
 /// runs the same pattern interleaved.
 #[derive(Debug, Clone)]
@@ -402,35 +332,6 @@ mod tests {
         assert_eq!(profile.accesses, 322);
         assert!(profile.worst_offchip_share(0.086) > 0.3);
         assert!(profile.slowdown() > 2.5);
-    }
-
-    #[test]
-    fn mailbox_post_prices_below_the_inline_slow_path() {
-        // Equal total reference counts (54 each): the saving must come
-        // from shared-line traffic, not from pretending the post runs
-        // less private code than the walk.
-        let post = profile_two_cpu(&maint_post_pattern(51), 3, CostModel::default());
-        let walk = profile_two_cpu(&inline_maint_pattern(40), 3, CostModel::default());
-        assert_eq!(post.accesses, walk.accesses);
-        // Structurally: one RMW for the post, against lock + unlock
-        // around a four-chain walk.
-        assert_eq!(
-            maint_post_pattern(0)
-                .iter()
-                .filter(|r| r.kind == AccessKind::Rmw)
-                .count(),
-            1
-        );
-        // Under two-CPU contention (every shared line remote), the post
-        // is priced well below the locked walk it replaces — this is the
-        // DES justification for routing slow-path work through the
-        // mailbox.
-        assert!(
-            (walk.elapsed_cycles as f64) > 1.5 * post.elapsed_cycles as f64,
-            "inline walk {} cycles vs mailbox post {} cycles — offload not priced in",
-            walk.elapsed_cycles,
-            post.elapsed_cycles
-        );
     }
 
     #[test]

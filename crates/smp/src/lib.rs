@@ -19,10 +19,8 @@
 //!   ([`counter::EventCounter`]).
 //! * A generation-counted tagged-pointer atomic
 //!   ([`atomics::TaggedAtomic`]) — the ABA-safe head word for the
-//!   lock-free Treiber stacks used by the allocator's global layer.
-//! * A bounded, deduplicated, wait-free MPSC mailbox
-//!   ([`mailbox::Mailbox`]) through which hot CPUs hand slow-path chores
-//!   to a maintenance core instead of running them inline.
+//!   lock-free Treiber stacks used by the allocator's page and vmblk
+//!   layers.
 //! * Deterministic, seed-driven failpoints ([`faults::Faults`]) that the
 //!   allocator layers consult at every fallible boundary, so out-of-memory
 //!   paths can be forced and tested instead of waiting for real exhaustion.
@@ -36,7 +34,6 @@ pub mod counter;
 pub mod cpu;
 pub mod faults;
 pub mod irq;
-pub mod mailbox;
 pub mod pad;
 pub mod percpu;
 pub mod probe;
@@ -49,7 +46,6 @@ pub use counter::{EventCounter, LocalCounter};
 pub use cpu::{CpuId, MAX_CPUS};
 pub use faults::{FailPolicy, FaultPlan, Faults, SiteStats};
 pub use irq::ExclusionFlag;
-pub use mailbox::Mailbox;
 pub use pad::CachePadded;
 pub use percpu::PerCpu;
 pub use registry::{ClaimError, CpuClaim, CpuRegistry};

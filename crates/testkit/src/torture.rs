@@ -72,13 +72,6 @@ pub struct TortureConfig {
     /// construct theirs with `HardenedConfig::full(seed)`, so the same
     /// op streams replay with every defense armed.
     pub hardened: bool,
-    /// Request the maintenance core (`KMEM_TORTURE_MAINT=1`/`0`
-    /// overrides). As with `hardened`, tests use
-    /// [`TortureConfig::maint_requested`] to decide whether to build
-    /// their arena with `MaintConfig::on()`; the driver then pumps the
-    /// mailbox at every quiescent checkpoint and asserts it settles
-    /// exactly (`backlog == 0`, `drained == posted - deduped`).
-    pub maint: bool,
 }
 
 impl TortureConfig {
@@ -99,7 +92,6 @@ impl TortureConfig {
             faults: false,
             fault_seed: 0x4641_554c_5453_2121, // "FAULTS!!"
             hardened: false,
-            maint: false,
         }
     }
 
@@ -121,18 +113,6 @@ impl TortureConfig {
         match std::env::var("KMEM_TORTURE_HARDENED") {
             Ok(v) => !matches!(v.trim(), "" | "0"),
             Err(_) => self.hardened,
-        }
-    }
-
-    /// Whether the arena for this run should be built with the
-    /// maintenance core enabled, after applying the `KMEM_TORTURE_MAINT`
-    /// environment override. The op streams are unchanged; only the
-    /// slow-path routing (deferred mailbox posts vs inline locked
-    /// drains) differs.
-    pub fn maint_requested(&self) -> bool {
-        match std::env::var("KMEM_TORTURE_MAINT") {
-            Ok(v) => !matches!(v.trim(), "" | "0"),
-            Err(_) => self.maint,
         }
     }
 }
@@ -450,8 +430,7 @@ fn worker(
             report.ops += 1;
             // Leader-only live sampling: a sweep taken while every other
             // thread keeps running must still satisfy the live-sample
-            // bounds — including the fast/slow partitions of the global
-            // layer's lock-free paths (`get_fast + get_slow <= get`).
+            // bounds (`miss <= access`, `chain hits + slow gets <= gets`).
             if leader && report.ops.is_multiple_of(1024) {
                 arena
                     .snapshot()
@@ -466,27 +445,14 @@ fn worker(
         if !shared.sync.wait() {
             return report;
         }
-        // Maintenance round: the leader pumps the mailbox to empty (a
-        // no-op when the core is disabled). Running DrainCpu items sets
-        // drain flags that the poll round below services.
-        if leader {
-            pump_maint(arena);
-        }
-        if !shared.sync.wait() {
-            return report;
-        }
         // Dedicated drain-service round: with every thread stopped, one
-        // poll() per CPU must clear every drain flag the phase (or the
-        // pump above) posted — nothing here allocates, so no new
-        // requests can appear. With the core on, each serviced drain may
-        // *defer* its global-layer puts, so a second pump settles those
-        // before the checkpoint asserts.
+        // poll() per CPU must clear every drain flag the phase posted —
+        // nothing here allocates, so no new requests can appear.
         cpu.poll();
         if !shared.sync.wait() {
             return report;
         }
         if leader {
-            pump_maint(arena);
             // Only meaningful when this run polls every configured CPU;
             // request_drain flags slots nobody claimed, too.
             if cfg.threads == arena.ncpus() {
@@ -543,11 +509,7 @@ fn worker(
     if leader {
         // Faults stay armed through teardown: every path that ran since the
         // last phase (frees, flushes, reclaim) must tolerate injection
-        // without losing a block or wedging a drain flag. The teardown
-        // frees and flushes never allocate, so no DrainCpu work can have
-        // been posted since the last poll round — one pump settles every
-        // deferred put before the final verification.
-        pump_maint(arena);
+        // without losing a block or wedging a drain flag.
         if cfg.threads == arena.ncpus() {
             assert_eq!(arena.pending_drains(), 0, "drain flag wedged at teardown");
         }
@@ -693,26 +655,9 @@ fn publish_held(shared: &Shared, cookies: &[Cookie], tid: usize, held: &[Parked]
     }
 }
 
-/// Leader-only, all other threads quiescent: drives the maintenance
-/// mailbox to empty and asserts it settled exactly. Immediately returns
-/// on an arena without the core.
-fn pump_maint(arena: &KmemArena) {
-    while arena.maint_poll() > 0 {}
-    if arena.maint_enabled() {
-        assert_eq!(arena.maint_backlog(), 0, "pump left a mailbox backlog");
-        let m = arena.snapshot().maint;
-        assert_eq!(
-            m.drained,
-            m.posted - m.deduped,
-            "maintenance work leaked across a pump"
-        );
-    }
-}
-
 /// Leader-only, with every thread quiescent at the barrier: structural
-/// invariants plus exact block conservation. On a maintenance-core
-/// arena the mailbox must already be pumped dry, and its counters must
-/// balance exactly — deferred work can be *pending*, never lost.
+/// invariants (each global shard within its exact `2 * gbltarget`
+/// bound, among others) plus exact block conservation.
 fn checkpoint(
     arena: &KmemArena,
     cfg: &TortureConfig,
@@ -720,22 +665,6 @@ fn checkpoint(
     cookies: &[Cookie],
     report: &mut TortureReport,
 ) {
-    if arena.maint_enabled() {
-        assert_eq!(
-            arena.maint_backlog(),
-            0,
-            "maintenance mailbox not empty at a quiescent checkpoint"
-        );
-        let m = arena.snapshot().maint;
-        assert_eq!(
-            m.drained,
-            m.posted - m.deduped,
-            "maintenance work leaked: {} posted, {} deduped, {} drained",
-            m.posted,
-            m.deduped,
-            m.drained
-        );
-    }
     verify_arena(arena);
     let mut held = vec![0usize; arena.nclasses()];
     for table in &shared.held_tables {

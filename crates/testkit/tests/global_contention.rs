@@ -1,9 +1,8 @@
-//! Focused contention regression for the lock-free global layer.
+//! Focused contention regression for the spinlocked global layer.
 //!
-//! The Treiber-stack rework left exactly one lock in the global pool: the
-//! bucket list behind the slow path. These tests hammer the seam between
-//! the two — concurrent `put_odd` storms feeding the locked bucket while
-//! `get_chain` readers race the lock-free stack — and then assert the
+//! One lock guards a pool's ready chains and its bucket list. These tests
+//! hammer it from real threads — odd-sized put storms feeding the bucket
+//! while `get_chain` readers take ready chains — and then assert the
 //! paper's regrouping contract: every block is conserved, and the bucket
 //! regroups odd scraps back into exactly-`target`-sized chains.
 //!
@@ -64,10 +63,10 @@ fn env_faults() -> bool {
 }
 
 /// The storm: every thread splits exact chains into odd scraps and feeds
-/// them back through `put_odd`, while also popping via `get_chain` — the
-/// locked bucket regroups under fire from the lock-free stack. Afterwards
-/// the pool must hold every block it was seeded with (minus counted
-/// spills), grouped back into exact `target`-sized chains.
+/// them back through `put_chain` (odd puts), while also taking chains via
+/// `get_chain` — the bucket regroups under fire. Afterwards the pool must
+/// hold every block it was seeded with (minus counted spills), grouped
+/// back into exact `target`-sized chains.
 #[test]
 fn put_odd_storm_regroups_exactly_and_conserves_blocks() {
     const TARGET: usize = 4;
@@ -84,7 +83,7 @@ fn put_odd_storm_regroups_exactly_and_conserves_blocks() {
     } else {
         Faults::none()
     };
-    let pool = GlobalPool::new_with_faults(TARGET, gbltarget, faults_handle.clone());
+    let pool = GlobalPool::new(TARGET, gbltarget).with_faults(faults_handle.clone());
     let mut blocks = Blocks::new(total_blocks);
     for _ in 0..seed_chains {
         assert!(pool.put_chain(blocks.chain(TARGET)).is_none());
@@ -107,19 +106,14 @@ fn put_odd_storm_regroups_exactly_and_conserves_blocks() {
                         // bucket; the regroup path must rebuild them.
                         let cut = c.split_first(1);
                         for odd in [cut, c] {
-                            if let Some(sp) = pool.put_odd(odd) {
+                            if let Some(sp) = pool.put_chain(odd) {
                                 spilled.fetch_add(discard(sp), Ordering::Relaxed);
                             }
                         }
                     } else {
-                        // Exact-length round trip: lock-free on both ends
-                        // (short chains from bucket serves go odd).
-                        let sp = if c.len() == TARGET {
-                            pool.put_chain(c)
-                        } else {
-                            pool.put_odd(c)
-                        };
-                        if let Some(sp) = sp {
+                        // Round trip as served: exact chains rejoin the
+                        // ready list, short bucket serves go odd.
+                        if let Some(sp) = pool.put_chain(c) {
                             spilled.fetch_add(discard(sp), Ordering::Relaxed);
                         }
                     }
@@ -153,7 +147,7 @@ fn put_odd_storm_regroups_exactly_and_conserves_blocks() {
     while let Some(c) = pool.get_chain() {
         if c.len() != TARGET {
             shorts += 1;
-            assert!(c.len() < TARGET, "overlong chain escaped the stack");
+            assert!(c.len() < TARGET, "overlong chain escaped the pool");
         }
         drained += discard(c);
     }
@@ -166,16 +160,15 @@ fn put_odd_storm_regroups_exactly_and_conserves_blocks() {
 
     // Quiescent counter partition across the whole storm.
     let st = pool.stats();
-    assert_eq!(st.get_fast.get() + st.get_slow.get(), st.get());
-    assert_eq!(st.put_fast.get() + st.put_slow.get(), st.put());
-    assert!(st.put_odd.get() > 0, "storm never exercised put_odd");
+    assert_eq!(st.get_chain_hits.get() + st.get_slow.get(), st.get.get());
+    assert!(st.put_odd.get() <= st.put_slow.get());
+    assert!(st.put_odd.get() > 0, "storm never exercised odd puts");
 }
 
 /// Pure exact-chain ping-pong across threads — the CPU-to-CPU recycling
-/// pattern the lock-free stack exists for. Essentially every put and get
-/// of a seeded chain rides the CAS fast path; the slow path is entered
-/// only for terminal misses (empty pool), injected faults, and the rare
-/// put whose bound estimate fell back to a torn (over-stated) sweep.
+/// pattern the global layer exists for. Every successful get is a ready
+/// chain and every put rejoins the ready chains in O(1): the bound is
+/// exact, so an in-bound put never spills and never touches the bucket.
 #[test]
 fn exact_chain_ping_pong_stays_on_the_fast_path() {
     const TARGET: usize = 8;
@@ -195,7 +188,7 @@ fn exact_chain_ping_pong_stays_on_the_fast_path() {
             s.spawn(|| {
                 for _ in 0..OPS {
                     if let Some(c) = pool.get_chain() {
-                        assert_eq!(c.len(), TARGET, "stack chains must stay exact");
+                        assert_eq!(c.len(), TARGET, "ready chains must stay exact");
                         assert!(pool.put_chain(c).is_none(), "in-bound put spilled");
                     }
                 }
@@ -205,25 +198,15 @@ fn exact_chain_ping_pong_stays_on_the_fast_path() {
 
     assert_eq!(pool.len(), total_blocks, "ping-pong lost blocks");
     let st = pool.stats();
-    // Chains outnumber threads, so gets can only miss transiently, and
-    // successful round trips ride the CAS fast path on both sides. The
-    // derived bound estimate may route a handful of puts to the slow
-    // path when its seqlock sweep falls back under a put storm
-    // (DESIGN.md §9) — tolerate a sliver, not a trend.
-    let slack = threads as u64;
-    let slow_puts = st.put_slow.get();
-    assert!(
-        slow_puts <= slack,
-        "{slow_puts} of {} puts took the slow path",
-        st.put()
+    // Chains outnumber threads, so no get ever finds the pool empty and
+    // every get is a chain hit; no put ever spills or goes odd.
+    assert_eq!(
+        st.get_chain_hits.get(),
+        st.get.get(),
+        "a get missed a chain"
     );
-    // A slow put re-enters the stack under the lock, where a concurrent
-    // get may legitimately find it — bound the excursions the same way.
-    let slow_hits = st.get_chain_hits() - st.get_fast.get();
-    assert!(
-        slow_hits <= slack,
-        "{slow_hits} ready-chain gets needed the lock"
-    );
+    assert_eq!(st.get.get(), (threads * OPS) as u64);
+    assert_eq!(st.put_slow.get(), 0, "an exact in-bound put went slow");
     assert_eq!(st.get_bucket_hits.get(), 0);
     discard(pool.drain_all());
 }

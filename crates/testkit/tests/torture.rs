@@ -2,7 +2,7 @@
 //! invariant walkers at every quiescent checkpoint.
 
 use kmem::verify::{verify_arena, verify_empty};
-use kmem::{Faults, HardenedConfig, KmemArena, KmemConfig, MaintConfig};
+use kmem::{Faults, HardenedConfig, KmemArena, KmemConfig};
 use kmem_testkit::{check, interleaving, no_shrink, run_torture, TortureConfig};
 use kmem_vm::SpaceConfig;
 
@@ -17,30 +17,16 @@ fn apply_hardened(kcfg: KmemConfig, cfg: &TortureConfig) -> KmemConfig {
     }
 }
 
-/// Applies the run's maintenance-core request (config or
-/// `KMEM_TORTURE_MAINT`): same op streams, slow-path work routed through
-/// the mailbox and pumped at every quiescent checkpoint.
-fn apply_maint(kcfg: KmemConfig, cfg: &TortureConfig) -> KmemConfig {
-    if cfg.maint_requested() {
-        kcfg.maint(MaintConfig::on())
-    } else {
-        kcfg
-    }
-}
-
 /// 4 threads × 100 000 randomized ops over 4 size classes, with
 /// cross-thread frees, flush pressure, and conservation checks at every
 /// phase boundary — the headline multi-threaded soak.
 /// `KMEM_TORTURE_HARDENED=1` reruns the same mix with every corruption
-/// defense armed; `KMEM_TORTURE_MAINT=1` with the maintenance core on.
+/// defense armed.
 #[test]
 fn standard_torture_run_is_clean() {
     let cfg = TortureConfig::standard();
-    let kcfg = apply_maint(
-        apply_hardened(
-            KmemConfig::new(cfg.threads, SpaceConfig::new(256 << 20)),
-            &cfg,
-        ),
+    let kcfg = apply_hardened(
+        KmemConfig::new(cfg.threads, SpaceConfig::new(256 << 20)),
         &cfg,
     );
     let arena = KmemArena::new(kcfg).unwrap();
@@ -86,11 +72,8 @@ fn torture_survives_low_memory_pressure() {
     };
     // 384 KB of frames versus megabytes of steady-state demand: the pool
     // runs dry and the flush/drain-request ladder gets real traffic.
-    let kcfg = apply_maint(
-        apply_hardened(
-            KmemConfig::new(cfg.threads, SpaceConfig::new(64 << 20).phys_pages(96)),
-            &cfg,
-        ),
+    let kcfg = apply_hardened(
+        KmemConfig::new(cfg.threads, SpaceConfig::new(64 << 20).phys_pages(96)),
         &cfg,
     );
     let arena = KmemArena::new(kcfg).unwrap();
@@ -131,15 +114,12 @@ fn fault_injection_torture_covers_every_site() {
     // failpoint gets hits in every policy rotation, not just at startup.
     // Two nodes, because the steal site is only consulted when a remote
     // shard exists to steal from.
-    let mut kcfg = apply_maint(
-        apply_hardened(
-            KmemConfig::new(
-                cfg.threads,
-                SpaceConfig::new(64 << 20).phys_pages(384).vmblk_shift(16),
-            )
-            .nodes(2),
-            &cfg,
-        ),
+    let mut kcfg = apply_hardened(
+        KmemConfig::new(
+            cfg.threads,
+            SpaceConfig::new(64 << 20).phys_pages(384).vmblk_shift(16),
+        )
+        .nodes(2),
         &cfg,
     );
     // The torture driver programs the plan; the arena only has to carry one.
@@ -163,71 +143,25 @@ fn fault_injection_torture_covers_every_site() {
             .unwrap_or_else(|| panic!("site {site} never consulted"));
         assert!(s.fired > 0, "site {site} armed but never fired: {s:?}");
     }
-    // The lock-free rework split every global access into a CAS fast path
-    // and a locked slow path; the injected-fault mix must have driven both
-    // directions down both, or the fault audit lost coverage.
+    // Both directions of the global layer must have seen both outcomes:
+    // gets served by a ready chain and gets that were not, puts that
+    // joined the ready chains in O(1) and puts through the bucket or a
+    // spill. Otherwise the fault audit lost coverage.
     let snap = arena.snapshot();
-    let (mut gf, mut gs, mut pf, mut ps) = (0u64, 0u64, 0u64, 0u64);
+    let (mut hits, mut gs, mut puts, mut ps) = (0u64, 0u64, 0u64, 0u64);
     for cs in &snap.classes {
-        gf += cs.global.get_fast;
+        hits += cs.global.get_chain_hits;
         gs += cs.global.get_slow;
-        pf += cs.global.put_fast;
+        puts += cs.global.put;
         ps += cs.global.put_slow;
     }
-    assert!(gf > 0, "no get ever took the lock-free fast path: {snap:?}");
-    assert!(gs > 0, "no get ever took the locked slow path: {snap:?}");
-    assert!(pf > 0, "no put ever took the lock-free fast path: {snap:?}");
-    assert!(ps > 0, "no put ever took the locked slow path: {snap:?}");
-
-    arena.reclaim();
-    verify_empty(&arena);
-}
-
-/// The full randomized mix with the maintenance core compiled in and ON:
-/// slow-path drains, trims, and pressure escalations route through the
-/// mailbox, and the torture driver pumps it at every quiescent
-/// checkpoint, asserting the mailbox settles exactly
-/// (`drained == posted − deduped`, backlog empty) each time. Faults stay
-/// on so injected failures and the offload path are exercised together.
-#[test]
-fn maintenance_core_torture_settles_every_checkpoint() {
-    let cfg = TortureConfig {
-        threads: 4,
-        ops_per_thread: 20_000,
-        phases: 4,
-        max_held_per_thread: 1_024,
-        faults: true,
-        maint: true,
-        ..TortureConfig::standard()
-    };
-    // Starved enough that the pressure ladder climbs (mailbox drain
-    // requests get traffic), two nodes so Spill work items carry distinct
-    // shard keys through the dedup filter.
-    let mut kcfg = apply_hardened(
-        KmemConfig::new(
-            cfg.threads,
-            SpaceConfig::new(64 << 20).phys_pages(256).vmblk_shift(16),
-        )
-        .nodes(2)
-        .maint(MaintConfig::on()),
-        &cfg,
+    assert!(hits > 0, "no get was served by a ready chain: {snap:?}");
+    assert!(gs > 0, "every get was served by a ready chain: {snap:?}");
+    assert!(puts > ps, "no put joined the ready chains: {snap:?}");
+    assert!(
+        ps > 0,
+        "no put went through the bucket or spilled: {snap:?}"
     );
-    kcfg.faults = Faults::with_plan();
-    let arena = KmemArena::new(kcfg).unwrap();
-    assert!(arena.maint_enabled());
-    let report = run_torture(&arena, &cfg);
-
-    assert_eq!(report.ops, (cfg.threads * cfg.ops_per_thread) as u64);
-    // One checkpoint per phase plus teardown — each one pumped the
-    // mailbox and re-proved the settle identity inside the driver.
-    assert_eq!(report.checkpoints, cfg.phases as u64 + 1);
-    assert!(report.allocs > 1_000, "too few allocs: {report:?}");
-
-    let m = arena.snapshot().maint;
-    assert!(m.enabled);
-    assert!(m.posted > 0, "offload never exercised: {m:?}");
-    assert_eq!(m.drained, m.posted - m.deduped, "work leaked: {m:?}");
-    assert_eq!(arena.maint_backlog(), 0);
 
     arena.reclaim();
     verify_empty(&arena);

@@ -12,19 +12,12 @@
 //! poll as fast as it likes — try `--interval-ms 1`.
 //!
 //! Usage: kmemstat [--interval-ms N] [--count N] [--threads N] [--nodes N]
-//!                 [--hardened] [--maint] [--json]
+//!                 [--hardened] [--json]
 //!
 //! `--hardened` runs the arena with every corruption defense armed
 //! (encoded freelist links, poison-on-free, randomized carve,
 //! double-free quarantine); the closing hardened table then shows live
 //! quarantine occupancy alongside the detection counters.
-//!
-//! `--maint` arms the background maintenance core: slow-path trims,
-//! regroups, spills, and pressure drain-requests route through the
-//! lock-free mailbox to a maintenance thread that runs for the whole
-//! sweep; the closing maintenance table shows posted / deduplicated /
-//! drained work items, the residual backlog, and the epoch-batched
-//! drain counters.
 //!
 //! `--nodes N` shards the arena over N NUMA nodes (block CPU mapping) and
 //! the closing per-node table shows how the shards behaved: blocks parked
@@ -49,7 +42,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use kmem::{HardenedConfig, KmemArena, KmemConfig, KmemSnapshot, MaintConfig};
+use kmem::{HardenedConfig, KmemArena, KmemConfig, KmemSnapshot};
 use kmem_vm::SpaceConfig;
 
 struct Args {
@@ -58,7 +51,6 @@ struct Args {
     threads: usize,
     nodes: usize,
     hardened: bool,
-    maint: bool,
     json: bool,
 }
 
@@ -69,7 +61,6 @@ fn parse_args() -> Args {
         threads: 4,
         nodes: 1,
         hardened: false,
-        maint: false,
         json: false,
     };
     let mut it = std::env::args().skip(1);
@@ -82,7 +73,6 @@ fn parse_args() -> Args {
             "--threads" => args.threads = it.next().expect("--threads N").parse().expect("number"),
             "--nodes" => args.nodes = it.next().expect("--nodes N").parse().expect("number"),
             "--hardened" => args.hardened = true,
-            "--maint" => args.maint = true,
             "--json" => args.json = true,
             other => panic!("unknown argument {other}"),
         }
@@ -170,13 +160,7 @@ fn main() {
     if args.hardened {
         cfg = cfg.hardened(HardenedConfig::full(0x4b4d_5354_4154));
     }
-    if args.maint {
-        cfg = cfg.maint(MaintConfig::on());
-    }
     let arena = KmemArena::new(cfg).unwrap();
-    // No-op (None) unless --maint armed the core; joined on drop after
-    // the churn threads stop, with one final settling drain.
-    let pump = arena.start_maint_thread();
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
@@ -227,10 +211,6 @@ fn main() {
         }
         stop.store(true, Ordering::Relaxed);
     });
-    // Churn is quiescent: the pump's drop runs one final settling drain,
-    // so the closing tables see the mailbox fully drained.
-    drop(pump);
-
     if args.json {
         return;
     }
@@ -287,20 +267,5 @@ fn main() {
     println!(
         "{:>12} {:>12} {:>13} {:>15}",
         end.corruption_reports, end.poison_hits, end.encode_faults, end.quarantine_len
-    );
-    // Maintenance-core counters: what the hot CPUs handed off and what
-    // the background thread settled. With the core off, all zeros.
-    let m = end.maint;
-    println!(
-        "\nmaintenance core ({}):",
-        if m.enabled { "on" } else { "off" }
-    );
-    println!(
-        "{:>10} {:>10} {:>10} {:>9} {:>12} {:>14}",
-        "posted", "deduped", "drained", "backlog", "batch-drains", "batched-chains"
-    );
-    println!(
-        "{:>10} {:>10} {:>10} {:>9} {:>12} {:>14}",
-        m.posted, m.deduped, m.drained, m.backlog, m.batch_drains, m.batched_chains
     );
 }

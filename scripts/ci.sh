@@ -31,6 +31,11 @@ cargo build --release --offline
 echo "==> cargo test (workspace, offline)"
 cargo test -q --offline --workspace
 
+echo "==> end-to-end benchmark tests (debug build, offline)"
+# The benchmark is a workspace of its own; its smoke and determinism
+# tests run here in a debug build so debug assertions see every workload.
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> snapshot invariant tests (live sampling + delta exactness)"
 cargo test -q --offline --test observability
 
@@ -47,10 +52,11 @@ for i in 1 2 3; do
 done
 
 echo "==> global-layer contention regression (thread sweep, faults on)"
-# The lock-free stack / locked-bucket seam under real threads: put_odd
-# storms against racing gets, with the global.get failpoint armed so
-# injected misses interleave with contention. Conservation and regrouping
-# are asserted inside the tests.
+# The spinlocked global pool under real threads: odd-sized put storms
+# against racing gets, with the global.get failpoint armed so injected
+# misses interleave with contention, plus an exact-chain ping-pong in
+# which every get must be a ready-chain hit and no put may go slow.
+# Conservation and regrouping are asserted inside the tests.
 for t in 2 4 8; do
     echo "    KMEM_GLOBAL_THREADS=$t"
     KMEM_TORTURE_FAULTS=1 KMEM_GLOBAL_THREADS="$t" \
@@ -84,19 +90,6 @@ cargo test -q --release --offline -p kmem-testkit --test hardened
 KMEM_TORTURE_HARDENED=1 KMEM_TORTURE_FAULTS=1 \
     cargo test -q --release --offline -p kmem-testkit --test torture \
     fault_injection
-
-echo "==> maintenance-core round (mailbox offload, faults on)"
-# The background maintenance core under the full torture mix: slow-path
-# trims, regroups, spills, and pressure drain-requests route through the
-# lock-free mailbox instead of running inline, and the driver pumps the
-# mailbox at every quiescent checkpoint, asserting it settles exactly
-# (drained == posted - deduped, backlog empty). KMEM_TORTURE_MAINT=1
-# additionally reruns the standard and low-memory mixes with the core on,
-# so the offload path sees the same op streams as the inline tier-1 runs.
-cargo test -q --release --offline -p kmem-testkit --test torture \
-    maintenance_core
-KMEM_TORTURE_MAINT=1 KMEM_TORTURE_FAULTS=1 \
-    cargo test -q --release --offline -p kmem-testkit --test torture
 
 echo "==> NUMA steal-path regression (2 nodes x 4 CPUs, faults on)"
 # The sharded global layer under cross-node producer/consumer flow:

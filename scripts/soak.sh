@@ -16,11 +16,6 @@
 #                           round; unset, it rotates (odd rounds run with
 #                           every corruption defense armed, even rounds
 #                           with the plain profile)
-#   KMEM_SOAK_MAINT=0/1     force the background maintenance core off/on
-#                           for every round; unset, it rotates on its own
-#                           phase (rounds 2, 4, ... run with a live
-#                           maintenance thread draining the mailbox while
-#                           the marathon traffic runs)
 #
 # A failing round prints the reproducing seed in the panic message;
 # re-run just that round with KMEM_TORTURE_SEED=<seed> cargo test ...
@@ -46,13 +41,9 @@ for i in $(seq 1 "$rounds"); do
     # Rotate the hardened profile unless pinned: odd rounds soak with
     # every corruption defense armed (a false detection fails the round).
     hardened="${KMEM_SOAK_HARDENED:-$(( i % 2 ))}"
-    # Rotate the maintenance core on the opposite phase unless pinned, so
-    # over any two rounds both offload states soak under both profiles'
-    # schedule pressure.
-    maint="${KMEM_SOAK_MAINT:-$(( (i + 1) % 2 ))}"
-    echo "==> round $i/$rounds: KMEM_TORTURE_SEED=$seed KMEM_SOAK_NODES=$nodes KMEM_SOAK_HARDENED=$hardened KMEM_SOAK_MAINT=$maint"
+    echo "==> round $i/$rounds: KMEM_TORTURE_SEED=$seed KMEM_SOAK_NODES=$nodes KMEM_SOAK_HARDENED=$hardened"
     KMEM_TORTURE_SEED="$seed" KMEM_SOAK_NODES="$nodes" \
-        KMEM_SOAK_HARDENED="$hardened" KMEM_SOAK_MAINT="$maint" \
+        KMEM_SOAK_HARDENED="$hardened" \
         cargo test -q --release --offline --test soak -- --ignored
     if [ "$faults" != "0" ]; then
         # Same ladder, different stream: the fault schedule rotates with
@@ -66,18 +57,8 @@ for i in $(seq 1 "$rounds"); do
     fi
 done
 
-echo "==> global contention bench (threaded ping-pong, writes BENCH_global.json)"
-cargo bench -q --offline -p kmem-bench --features bench-ext \
-    --bench global_contention
-
 echo "==> page contention bench (wall + simulated SMP, writes BENCH_page.json)"
 cargo bench -q --offline -p kmem-bench --features bench-ext \
     --bench page_contention
-
-echo "==> maintenance tail-latency bench (core vs inline, writes BENCH_maint.json)"
-# Self-asserting: core p99/p999 must beat inline at 8 threads with the
-# mean within 10%, or the bench binary itself fails the lane.
-cargo bench -q --offline -p kmem-bench --features bench-ext \
-    --bench maint_latency
 
 echo "==> OK: $rounds soak rounds passed"

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kmem::verify::{verify_arena, verify_empty};
-use kmem::{HardenedConfig, KmemArena, KmemConfig, MaintConfig};
+use kmem::{HardenedConfig, KmemArena, KmemConfig};
 use kmem_dlm::workload::{run_worker, SharedLocks, WorkloadConfig};
 use kmem_dlm::Dlm;
 use kmem_streams::StreamsAlloc;
@@ -39,45 +39,13 @@ fn soak_hardened(cfg: KmemConfig) -> KmemConfig {
     }
 }
 
-/// Routes slow-path maintenance through the background core when
-/// `KMEM_SOAK_MAINT` is set and nonzero (`scripts/soak.sh` rotates it):
-/// the marathon traffic then runs beside a live maintenance thread, and
-/// teardown asserts the mailbox settled exactly.
-fn soak_maint(cfg: KmemConfig) -> KmemConfig {
-    match std::env::var("KMEM_SOAK_MAINT") {
-        Ok(v) if !matches!(v.trim(), "" | "0") => cfg.maint(MaintConfig::on()),
-        _ => cfg,
-    }
-}
-
-/// Settles the mailbox at a quiescent point. The background thread may
-/// hold the single-consumer drain flag mid-poll, in which case our poll
-/// returns 0 while work remains — so spin on the backlog, not the poll
-/// count, and let whichever side owns the flag finish the drain.
-fn settle_maint(arena: &KmemArena) {
-    while arena.maint_backlog() > 0 {
-        if arena.maint_poll() == 0 {
-            std::thread::yield_now();
-        }
-    }
-    // Deferred puts from the drained work never re-post (maintenance
-    // handlers do not allocate), so one empty backlog is final.
-    let m = arena.snapshot().maint;
-    assert_eq!(
-        m.drained,
-        m.posted - m.deduped,
-        "maintenance work leaked across the soak: {m:?}"
-    );
-}
-
 #[test]
 #[ignore = "soak test: minutes of runtime; run with --ignored"]
 fn million_op_mixed_soak() {
-    let arena = KmemArena::new(soak_maint(soak_hardened(
+    let arena = KmemArena::new(soak_hardened(
         KmemConfig::new(4, SpaceConfig::new(64 << 20)).nodes(soak_nodes(4)),
-    )))
+    ))
     .unwrap();
-    let pump = arena.start_maint_thread();
     let ops_done = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..4u64 {
@@ -118,8 +86,6 @@ fn million_op_mixed_soak() {
         }
     });
     assert_eq!(ops_done.load(Ordering::Relaxed), 4_000_000);
-    drop(pump);
-    settle_maint(&arena);
     arena.reclaim();
     verify_empty(&arena);
 }
@@ -127,11 +93,10 @@ fn million_op_mixed_soak() {
 #[test]
 #[ignore = "soak test: minutes of runtime; run with --ignored"]
 fn subsystem_cohabitation_soak() {
-    let arena = KmemArena::new(soak_maint(soak_hardened(
+    let arena = KmemArena::new(soak_hardened(
         KmemConfig::new(3, SpaceConfig::new(64 << 20)).nodes(soak_nodes(3)),
-    )))
+    ))
     .unwrap();
-    let pump = arena.start_maint_thread();
     let dlm = Dlm::new(arena.clone(), 256);
     let sa = StreamsAlloc::new(arena.clone());
     let shared = SharedLocks::new();
@@ -174,14 +139,9 @@ fn subsystem_cohabitation_soak() {
         let cpu = arena.register_cpu().unwrap();
         shared.drain(&dlm, &cpu);
         drop(cpu);
-        // Deferred puts can hold the global layer over its trim bound
-        // until the mailbox settles, so settle before walking invariants.
-        settle_maint(&arena);
         arena.reclaim();
         verify_arena(&arena);
     }
-    drop(pump);
-    settle_maint(&arena);
     arena.reclaim();
     verify_empty(&arena);
 }
